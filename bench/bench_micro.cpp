@@ -1,8 +1,9 @@
 // E12 — micro-benchmarks of the substrates (google-benchmark).
 //
 // Not a paper experiment: these quantify the cost of the building blocks
-// (INFO-set operations, event queue, routing recompute, full simulation
-// throughput) so that scenario wall-times are explainable.
+// (INFO-set operations, event queue, one network hop and its metrics
+// observer, routing recompute, full simulation throughput) so that
+// scenario wall-times are explainable.
 //
 // This binary is also the repo's perf gate: CI runs it with
 // --benchmark_format=json and tools/bench_compare.py checks the result
@@ -14,7 +15,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <any>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rbcast.h"
@@ -274,6 +277,72 @@ void BM_EventQueueMixed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueMixed)->Arg(10000);
+
+// --- network & its observer ----------------------------------------------
+
+// One unicast driven to delivery across a line of four single-host
+// clusters: access link, three trunks, access link — five transmissions,
+// five arrival events. The per-hop cost every INFO exchange pays, since
+// the nonprogrammable servers make each one a multi-hop unicast. The
+// payload copy made per send is part of it, as it is for a real host.
+void BM_NetworkHop(benchmark::State& state) {
+  topo::ClusteredWanOptions options;
+  options.clusters = 4;
+  options.hosts_per_cluster = 1;
+  options.shape = topo::TrunkShape::kLine;
+  const auto wan = make_clustered_wan(options);
+  sim::Simulator simulator;
+  util::RngFactory rngs{1};
+  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  std::uint64_t delivered = 0;
+  for (const auto& h : wan.topology.hosts()) {
+    network.register_host(h.id,
+                          [&delivered](const net::Delivery&) { ++delivered; });
+  }
+  const HostId from = wan.cluster_hosts.front().front();
+  const HostId to = wan.cluster_hosts.back().front();
+  const std::any payload = std::string("INFO 0123456789");
+  for (auto _ : state) {
+    network.send(from, to, payload, 64, "info");
+    simulator.run_to_completion();
+  }
+  if (delivered != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a send was not delivered");
+  }
+  state.SetItemsProcessed(state.iterations() * 5);  // transmissions
+}
+BENCHMARK(BM_NetworkHop);
+
+// trace::Metrics' share of one trunk transmission: per-class and per-kind
+// counters plus the link's busy time, alternating between a cheap and an
+// expensive link and between two message kinds.
+void BM_MetricsLinkTransmit(benchmark::State& state) {
+  const auto wan =
+      topo::make_clustered_wan({.clusters = 2, .hosts_per_cluster = 2});
+  sim::Simulator simulator;
+  util::RngFactory rngs{1};
+  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  trace::Metrics metrics(simulator, network);
+  LinkId links[2] = {kNoLink, wan.trunks.front()};
+  for (const auto& l : wan.topology.links()) {
+    if (!l.is_access && l.link_class == topo::LinkClass::kCheap) {
+      links[0] = l.id;
+    }
+  }
+  net::Delivery deliveries[2];
+  deliveries[0].kind = "info";
+  deliveries[0].bytes = 40;
+  deliveries[1].kind = "data";
+  deliveries[1].bytes = 300;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    metrics.on_link_transmit(links[i & 1], deliveries[(i >> 1) & 1]);
+    ++i;
+  }
+  benchmark::DoNotOptimize(metrics.counter("link.cheap"));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricsLinkTransmit);
 
 // --- telemetry plane ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.h"
@@ -48,7 +49,6 @@ Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
   }
   deliver_.resize(topology.host_count());
   endpoints_.resize(topology.host_count());
-  inflight_.resize(topology.link_count());
   for (const topo::HostSpec& h : topology.hosts()) {
     endpoints_[static_cast<std::size_t>(h.id.value)] =
         std::make_unique<Endpoint>(*this, h.id);
@@ -88,33 +88,77 @@ sim::Duration Network::jitter() {
   return jitter_rng_.uniform_int(0, config_.jitter_max);
 }
 
-void Network::schedule_on_link(LinkId link, sim::Duration delay,
-                               std::function<void()> action) {
-  auto& pending = inflight_[static_cast<std::size_t>(link.value)];
-  // The cell lets the event remove its own registration when it fires.
-  auto cell = std::make_shared<sim::EventId>();
-  *cell = simulator_.after(
-      delay, [this, link, cell, action = std::move(action)] {
-        inflight_[static_cast<std::size_t>(link.value)].erase(cell->value);
-        action();
-      });
-  pending.insert(cell->value);
+std::uint32_t Network::acquire_slot() {
+  const std::uint32_t slot = free_head_ != kNoSlot ? free_head_ : grow_pool();
+  free_head_ = pool_[slot].next_free;
+  pool_[slot].next_free = kNoSlot;
+  return slot;
+}
+
+std::uint32_t Network::grow_pool() {
+  // Cold: runs only until the pool reaches the peak in-flight count.
+  RBCAST_ASSERT_MSG(pool_.size() < kNoSlot, "packet pool exhausted");
+  pool_.emplace_back();
+  return static_cast<std::uint32_t>(pool_.size() - 1);
+}
+
+void Network::release_slot(std::uint32_t slot) {
+  InFlight& f = pool_[slot];
+  f.link = kNoLink;
+  f.packet.d.payload.reset();  // the payload dies with the packet
+  f.next_free = free_head_;
+  free_head_ = slot;
+}
+
+void Network::schedule_on_link(std::uint32_t slot, LinkId link,
+                               sim::Duration delay, bool to_host) {
+  InFlight& f = pool_[slot];
+  f.link = link;
+  f.to_host = to_host;
+  f.arrival = simulator_.after(delay, [this, slot] { land(slot); });
+}
+
+void Network::launch(std::uint32_t slot, LinkId link,
+                     const LinkState::TxResult& tx, bool to_host) {
+  std::uint32_t twin = kNoSlot;
+  if (tx.copies == 2) {
+    // The only copy on the hop path: a spontaneous duplicate is a second,
+    // independent packet. (acquire_slot may grow the pool, so index.)
+    twin = acquire_slot();
+    pool_[twin].packet = pool_[slot].packet;
+  }
+  schedule_on_link(slot, link, tx.arrival_offset[0] + jitter(), to_host);
+  if (twin != kNoSlot) {
+    schedule_on_link(twin, link, tx.arrival_offset[1] + jitter(), to_host);
+  }
+}
+
+void Network::land(std::uint32_t slot) {
+  InFlight& f = pool_[slot];
+  f.link = kNoLink;  // off the wire: a later failure of the link spares it
+  if (f.to_host) {
+    hand_to_host(slot);
+  } else {
+    arrive_at_server(slot);
+  }
 }
 
 void Network::send(HostId from, HostId to, std::any payload,
                    std::size_t bytes, std::string kind, TraceId trace_id) {
   RBCAST_CHECK_ARG(from.valid() && to.valid() && from != to,
                    "send: bad endpoints");
-  Packet p;
-  p.d = Delivery{.from = from,
-                 .to = to,
-                 .expensive = false,
-                 .payload = std::move(payload),
-                 .bytes = bytes,
-                 .kind = std::move(kind),
-                 .sent_at = simulator_.now(),
-                 .hops = 0,
-                 .trace_id = trace_id};
+  const std::uint32_t slot = acquire_slot();
+  Packet& p = pool_[slot].packet;
+  p.d.from = from;
+  p.d.to = to;
+  p.d.expensive = false;
+  p.d.payload = std::move(payload);
+  p.d.bytes = bytes;
+  p.d.kind = std::move(kind);
+  p.d.sent_at = simulator_.now();
+  p.d.hops = 0;
+  p.d.trace_id = trace_id;
+  p.at = kNoServer;
   p.ttl = config_.ttl;
 
   if (observer_ != nullptr) observer_->on_host_send(p.d);
@@ -122,11 +166,11 @@ void Network::send(HostId from, HostId to, std::any payload,
   const topo::HostSpec& hs = topology_.host(from);
   LinkState& access = link_state(hs.access_link);
   if (!access.up()) {
-    drop(p.d, DropReason::kLinkDown);
+    discard(slot, DropReason::kLinkDown);
     return;
   }
   if (access.queue_backlog(0, simulator_.now()) > config_.max_queue_delay) {
-    drop(p.d, DropReason::kQueueOverflow);
+    discard(slot, DropReason::kQueueOverflow);
     return;
   }
   // Direction 0 of an access link is host -> server. Every hop charges
@@ -137,35 +181,30 @@ void Network::send(HostId from, HostId to, std::any payload,
     observer_->on_queue_backlog(hs.server, hs.access_link, tx.queue_wait);
   }
   if (tx.copies == 0) {
-    drop(p.d, DropReason::kRandomLoss);
+    discard(slot, DropReason::kRandomLoss);
     return;
   }
   p.at = hs.server;
   ++p.d.hops;
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    schedule_on_link(hs.access_link, tx.arrival_offset[c] + jitter(),
-                     [this, q = std::move(copy)]() mutable {
-                       arrive_at_server(std::move(q));
-                     });
-  }
+  launch(slot, hs.access_link, tx, /*to_host=*/false);
 }
 
-void Network::arrive_at_server(Packet p) {
+void Network::arrive_at_server(std::uint32_t slot) {
+  Packet& p = pool_[slot].packet;
   const topo::HostSpec& dst = topology_.host(p.d.to);
   if (p.at == dst.server) {
-    deliver_to_host(std::move(p));
+    deliver_to_host(slot);
     return;
   }
   if (--p.ttl <= 0) {
-    drop(p.d, DropReason::kTtlExceeded);
+    discard(slot, DropReason::kTtlExceeded);
     return;
   }
   Server& here = servers_[static_cast<std::size_t>(p.at.value)];
-  const auto choice = here.choose_link(
-      dst.server, [this](LinkId id) { return link_up(id); });
+  const auto choice = here.choose_link(dst.server, links_);
   if (!choice.link.valid()) {
-    drop(p.d, choice.had_route ? DropReason::kLinkDown : DropReason::kNoRoute);
+    discard(slot,
+            choice.had_route ? DropReason::kLinkDown : DropReason::kNoRoute);
     return;
   }
   here.count_forwarded();
@@ -173,7 +212,7 @@ void Network::arrive_at_server(Packet p) {
   LinkState& ls = link_state(choice.link);
   const int dir = ls.direction_from(p.at);
   if (ls.queue_backlog(dir, simulator_.now()) > config_.max_queue_delay) {
-    drop(p.d, DropReason::kQueueOverflow);
+    discard(slot, DropReason::kQueueOverflow);
     return;
   }
   const auto tx = ls.transmit(p.d.bytes + config_.per_packet_overhead_bytes,
@@ -183,58 +222,54 @@ void Network::arrive_at_server(Packet p) {
     observer_->on_link_transmit(choice.link, p.d);
   }
   if (tx.copies == 0) {
-    drop(p.d, DropReason::kRandomLoss);
+    discard(slot, DropReason::kRandomLoss);
     return;
   }
-  const bool expensive =
-      ls.spec().link_class == topo::LinkClass::kExpensive;
-  const ServerId next = ls.spec().other_end(p.at);
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    copy.at = next;
-    copy.d.expensive = copy.d.expensive || expensive;
-    ++copy.d.hops;
-    schedule_on_link(choice.link, tx.arrival_offset[c] + jitter(),
-                     [this, q = std::move(copy)]() mutable {
-                       arrive_at_server(std::move(q));
-                     });
-  }
+  p.d.expensive =
+      p.d.expensive || ls.spec().link_class == topo::LinkClass::kExpensive;
+  p.at = ls.spec().other_end(p.at);
+  ++p.d.hops;
+  launch(slot, choice.link, tx, /*to_host=*/false);
 }
 
-void Network::deliver_to_host(Packet p) {
+void Network::deliver_to_host(std::uint32_t slot) {
+  Packet& p = pool_[slot].packet;
   const topo::HostSpec& dst = topology_.host(p.d.to);
   LinkState& access = link_state(dst.access_link);
   if (!access.up()) {
-    drop(p.d, DropReason::kLinkDown);
+    discard(slot, DropReason::kLinkDown);
     return;
   }
   // Direction 1 of an access link is server -> host.
   const auto tx = access.transmit(p.d.bytes, 1, simulator_.now());
   if (tx.copies == 0) {
-    drop(p.d, DropReason::kRandomLoss);
+    discard(slot, DropReason::kRandomLoss);
     return;
   }
   // Spontaneous duplication on the last hop delivers the message twice —
   // the protocol must cope, so keep both copies.
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    ++copy.d.hops;
-    schedule_on_link(
-        dst.access_link, tx.arrival_offset[c] + jitter(),
-        [this, q = std::move(copy)] {
-          const auto idx = static_cast<std::size_t>(q.d.to.value);
-          RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
-                            "message addressed to unregistered host");
-          if (observer_ != nullptr) observer_->on_deliver(q.d);
-          deliver_[idx](q.d);
-        });
-  }
+  ++p.d.hops;
+  launch(slot, dst.access_link, tx, /*to_host=*/true);
 }
 
-void Network::drop(const Delivery& d, DropReason reason) {
+void Network::hand_to_host(std::uint32_t slot) {
+  // Out of the pool before the upcall: the host may send in response,
+  // which can grow the pool and move every slot.
+  const Delivery d = std::move(pool_[slot].packet.d);
+  release_slot(slot);
+  const auto idx = static_cast<std::size_t>(d.to.value);
+  RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
+                    "message addressed to unregistered host");
+  if (observer_ != nullptr) observer_->on_deliver(d);
+  deliver_[idx](d);
+}
+
+void Network::discard(std::uint32_t slot, DropReason reason) {
+  const Delivery& d = pool_[slot].packet.d;
   RBCAST_DEBUG("drop " << d.kind << " " << d.from << "->" << d.to << ": "
                        << to_string(reason));
   if (observer_ != nullptr) observer_->on_drop(d, reason);
+  release_slot(slot);
 }
 
 void Network::set_link_up(LinkId link, bool up) {
@@ -245,11 +280,11 @@ void Network::set_link_up(LinkId link, bool up) {
   if (!up) {
     // A failing link loses everything in flight on it, silently — the
     // paper's failure model ("messages can ... be lost at any point").
-    auto& pending = inflight_[static_cast<std::size_t>(link.value)];
-    for (std::uint64_t event : pending) {
-      simulator_.cancel(sim::EventId{event});
+    for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
+      if (pool_[slot].link != link) continue;
+      simulator_.cancel(pool_[slot].arrival);
+      release_slot(slot);
     }
-    pending.clear();
   }
   if (!ls.spec().is_access) {
     routing_.notify_change();
@@ -257,6 +292,12 @@ void Network::set_link_up(LinkId link, bool up) {
 }
 
 bool Network::link_up(LinkId link) const { return link_state(link).up(); }
+
+std::size_t Network::packets_in_flight() const {
+  return static_cast<std::size_t>(std::count_if(
+      pool_.begin(), pool_.end(),
+      [](const InFlight& f) { return f.link.valid(); }));
+}
 
 std::vector<std::vector<HostId>> Network::clusters() const {
   return topology_.clusters([this](LinkId id) { return link_up(id); });

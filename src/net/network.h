@@ -7,8 +7,8 @@
 // invisible to the application, exactly as assumed in Section 2.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/link.h"
@@ -90,6 +90,12 @@ class Network {
   // Installs the metrics observer (nullptr to remove).
   void set_observer(NetObserver* observer) { observer_ = observer; }
 
+  // Packets currently crossing a link.
+  [[nodiscard]] std::size_t packets_in_flight() const;
+  // Packet slots allocated, in flight + free: the pool never shrinks, so
+  // this is the peak in-flight count.
+  [[nodiscard]] std::size_t packet_pool_size() const { return pool_.size(); }
+
  private:
   struct Packet {
     Delivery d;
@@ -97,20 +103,46 @@ class Network {
     int ttl{0};
   };
 
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  // A pooled packet. A packet keeps its slot from send() to delivery or
+  // drop and is updated in place at every hop; the arrival event captures
+  // only {this, slot}, which fits std::function's small buffer. Free slots
+  // form an intrusive list through next_free.
+  struct InFlight {
+    Packet packet;
+    LinkId link{kNoLink};  // the link being crossed; kNoLink otherwise
+    bool to_host{false};   // crossing the destination's access link
+    sim::EventId arrival{};
+    std::uint32_t next_free{kNoSlot};
+  };
+
   class Endpoint;
 
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
-  void arrive_at_server(Packet packet);
-  void deliver_to_host(Packet packet);
-  void drop(const Delivery& d, DropReason reason);
+  [[nodiscard]] std::uint32_t acquire_slot();
+  [[nodiscard]] std::uint32_t grow_pool();
+  void release_slot(std::uint32_t slot);
+  // The arrival event of a pooled packet: the far end of its link.
+  void land(std::uint32_t slot);
+  void arrive_at_server(std::uint32_t slot);
+  void deliver_to_host(std::uint32_t slot);
+  void hand_to_host(std::uint32_t slot);
+  // Sends the packet in `slot` over `link` per `tx`, plus a copy when the
+  // link duplicated the transmission.
+  void launch(std::uint32_t slot, LinkId link, const LinkState::TxResult& tx,
+              bool to_host);
+  // Drops the packet in `slot`, silently to the hosts: only the observer
+  // hears of it.
+  void discard(std::uint32_t slot, DropReason reason);
   [[nodiscard]] sim::Duration jitter();
 
-  // Schedules `action` to fire after `delay`, tied to `link`: if the link
-  // goes down first, the event is cancelled — a failing link loses
-  // everything in flight on it.
-  void schedule_on_link(LinkId link, sim::Duration delay,
-                        std::function<void()> action);
+  // Schedules the arrival of the packet in `slot` after `delay`, tied to
+  // `link`: if the link goes down first, the event is cancelled — a
+  // failing link loses everything in flight on it.
+  void schedule_on_link(std::uint32_t slot, LinkId link, sim::Duration delay,
+                        bool to_host);
 
   sim::Simulator& simulator_;
   const topo::Topology& topology_;
@@ -124,8 +156,8 @@ class Network {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   util::Rng jitter_rng_;
   std::uint64_t epoch_{0};
-  // In-flight arrival events per link; killed when the link goes down.
-  std::vector<std::set<std::uint64_t>> inflight_;
+  std::vector<InFlight> pool_;
+  std::uint32_t free_head_{kNoSlot};
 };
 
 }  // namespace rbcast::net

@@ -12,7 +12,7 @@ Server::Server(ServerId id, const topo::Topology& topology,
 }
 
 Server::ForwardChoice Server::choose_link(
-    ServerId dst_server, const std::function<bool(LinkId)>& link_up) const {
+    ServerId dst_server, std::span<const LinkState> links) const {
   ForwardChoice choice;
   const ServerId hop = routing_->next_hop(id_, dst_server);
   if (!hop.valid()) return choice;
@@ -20,7 +20,7 @@ Server::ForwardChoice Server::choose_link(
   auto it = links_by_neighbor_.find(hop);
   if (it == links_by_neighbor_.end()) return choice;
   for (LinkId lid : it->second) {
-    if (link_up(lid)) {
+    if (links[static_cast<std::size_t>(lid.value)].up()) {
       choice.link = lid;
       return choice;
     }

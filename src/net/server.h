@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
+#include "net/link.h"
 #include "net/routing.h"
 #include "topo/topology.h"
 
@@ -28,10 +30,9 @@ class Server {
   };
 
   // Picks the outgoing link toward `dst_server` per the current routes.
-  // `link_up` reflects the live link states.
+  // `links` is the network's live link-state table, indexed by link id.
   [[nodiscard]] ForwardChoice choose_link(
-      ServerId dst_server,
-      const std::function<bool(LinkId)>& link_up) const;
+      ServerId dst_server, std::span<const LinkState> links) const;
 
   // --- accounting ---------------------------------------------------------
   void count_forwarded() { ++forwarded_; }

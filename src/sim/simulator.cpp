@@ -25,12 +25,11 @@ EventId Simulator::after(Duration d, EventQueue::Action action) {
 
 void Simulator::run_until(TimePoint t) {
   RBCAST_ASSERT_MSG(t >= now_, "cannot run backwards");
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    auto fired = queue_.pop();
-    RBCAST_PARANOID_ASSERT_MSG(fired.time >= now_,
+  while (auto fired = queue_.pop_due(t)) {
+    RBCAST_PARANOID_ASSERT_MSG(fired->time >= now_,
                                "virtual time ran backwards");
-    now_ = fired.time;
-    fired.action();
+    now_ = fired->time;
+    fired->action();
   }
   now_ = t;
 }

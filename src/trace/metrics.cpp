@@ -1,6 +1,7 @@
 #include "trace/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 
 #include "util/assert.h"
@@ -9,10 +10,27 @@ namespace rbcast::trace {
 
 namespace {
 const util::Accumulator kEmptyAccumulator{};
+
+// Link classes index the per-class handle arrays.
+static_assert(static_cast<int>(topo::LinkClass::kCheap) == 0 &&
+              static_cast<int>(topo::LinkClass::kExpensive) == 1);
+
+std::size_t index_of(topo::LinkClass cls) {
+  return static_cast<std::size_t>(cls);
 }
 
+// Name prefixes of the per-kind counter families below kLinkKind, in
+// Metrics::KindFamily order.
+constexpr std::array<const char*, 5> kKindPrefix = {
+    "send.", "send_bytes.", "send.intercluster.", "send_bytes.intercluster.",
+    "deliver."};
+}  // namespace
+
 Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
-    : simulator_(simulator), network_(network) {}
+    : simulator_(simulator),
+      network_(network),
+      backlog_(network.topology().server_count()),
+      link_busy_(network.topology().link_count(), 0) {}
 
 void Metrics::attach() { network_.set_observer(this); }
 
@@ -29,17 +47,58 @@ bool Metrics::crosses_clusters(HostId a, HostId b) {
          cluster_index_[static_cast<std::size_t>(b.value)];
 }
 
+Metrics::KindCounters& Metrics::kind_counters(const std::string& kind) {
+  for (KindCounters& k : kinds_) {
+    if (k.kind == kind) return k;
+  }
+  return add_kind(kind);
+}
+
+Metrics::KindCounters& Metrics::add_kind(const std::string& kind) {
+  return kinds_.emplace_back(KindCounters{.kind = kind});
+}
+
+void Metrics::add(KindCounters& k, KindFamily family, std::uint64_t by) {
+  std::uint64_t*& h = k.handle[family];
+  if (h == nullptr) h = resolve(k, family);
+  *h += by;
+}
+
+void Metrics::add(ClassFamily family, topo::LinkClass cls, std::uint64_t by) {
+  std::uint64_t*& h = class_handle_[family][index_of(cls)];
+  if (h == nullptr) h = resolve(family, cls);
+  *h += by;
+}
+
+std::uint64_t* Metrics::resolve(const KindCounters& k, KindFamily family) {
+  static_assert(kKindPrefix.size() == kLinkKind);
+  std::string name;
+  if (family < kLinkKind) {
+    name = kKindPrefix[family];
+  } else {
+    const auto cls = static_cast<topo::LinkClass>(family - kLinkKind);
+    name = std::string("link.") + topo::to_string(cls) + ".";
+  }
+  return &counters_.at(name + k.kind);
+}
+
+std::uint64_t* Metrics::resolve(ClassFamily family, topo::LinkClass cls) {
+  const char* prefix = family == kLink ? "link." : "link_bytes.";
+  return &counters_.at(prefix + std::string(topo::to_string(cls)));
+}
+
 void Metrics::on_host_send(const net::Delivery& d) {
-  counters_.inc("send." + d.kind);
-  counters_.inc("send_bytes." + d.kind, d.bytes);
+  KindCounters& k = kind_counters(d.kind);
+  add(k, kSend, 1);
+  add(k, kSendBytes, d.bytes);
   if (crosses_clusters(d.from, d.to)) {
-    counters_.inc("send.intercluster." + d.kind);
-    counters_.inc("send_bytes.intercluster." + d.kind, d.bytes);
+    add(k, kSendInter, 1);
+    add(k, kSendBytesInter, d.bytes);
   }
 }
 
 void Metrics::on_deliver(const net::Delivery& d) {
-  counters_.inc("deliver." + d.kind);
+  add(kind_counters(d.kind), kDeliver, 1);
 }
 
 void Metrics::on_drop(const net::Delivery& d, net::DropReason reason) {
@@ -49,16 +108,23 @@ void Metrics::on_drop(const net::Delivery& d, net::DropReason reason) {
 
 void Metrics::on_link_transmit(LinkId link, const net::Delivery& d) {
   const auto& spec = network_.topology().link(link);
-  const char* cls = topo::to_string(spec.link_class);
-  counters_.inc(std::string("link.") + cls);
-  counters_.inc(std::string("link.") + cls + "." + d.kind);
-  counters_.inc(std::string("link_bytes.") + cls, d.bytes);
-  link_busy_[link] += spec.transmission_time(d.bytes);
+  add(kLink, spec.link_class, 1);
+  add(kind_counters(d.kind),
+      static_cast<KindFamily>(kLinkKind + index_of(spec.link_class)), 1);
+  add(kLinkBytes, spec.link_class, d.bytes);
+  RBCAST_PARANOID_ASSERT(static_cast<std::size_t>(link.value) <
+                         link_busy_.size());
+  link_busy_[static_cast<std::size_t>(link.value)] +=
+      spec.transmission_time(d.bytes);
 }
 
 void Metrics::on_queue_backlog(ServerId server, LinkId /*link*/,
                                sim::Duration backlog) {
-  backlog_[server].add(sim::to_seconds(backlog));
+  RBCAST_PARANOID_ASSERT(server.valid() &&
+                         static_cast<std::size_t>(server.value) <
+                             backlog_.size());
+  backlog_[static_cast<std::size_t>(server.value)].add(
+      sim::to_seconds(backlog));
 }
 
 void Metrics::record_broadcast(Seq seq) {
@@ -121,8 +187,8 @@ std::size_t Metrics::delivered_count(Seq seq) const {
 }
 
 sim::Duration Metrics::link_busy_time(LinkId link) const {
-  auto it = link_busy_.find(link);
-  return it != link_busy_.end() ? it->second : 0;
+  const auto i = static_cast<std::size_t>(link.value);
+  return link.valid() && i < link_busy_.size() ? link_busy_[i] : 0;
 }
 
 double Metrics::link_utilization(LinkId link) const {
@@ -135,10 +201,11 @@ double Metrics::link_utilization(LinkId link) const {
 LinkId Metrics::busiest_trunk() const {
   LinkId best = kNoLink;
   sim::Duration best_busy = 0;
-  for (const auto& [link, busy] : link_busy_) {
+  for (std::size_t i = 0; i < link_busy_.size(); ++i) {
+    const LinkId link{static_cast<LinkId::value_type>(i)};
     if (network_.topology().link(link).is_access) continue;
-    if (busy > best_busy) {
-      best_busy = busy;
+    if (link_busy_[i] > best_busy) {
+      best_busy = link_busy_[i];
       best = link;
     }
   }
@@ -171,8 +238,9 @@ std::vector<std::pair<double, double>> Metrics::completion_curve(
 }
 
 const util::Accumulator& Metrics::queue_backlog(ServerId server) const {
-  auto it = backlog_.find(server);
-  return it != backlog_.end() ? it->second : kEmptyAccumulator;
+  const auto i = static_cast<std::size_t>(server.value);
+  return server.valid() && i < backlog_.size() ? backlog_[i]
+                                               : kEmptyAccumulator;
 }
 
 double Metrics::max_queue_backlog_seconds(ServerId server) const {
@@ -200,8 +268,10 @@ void Metrics::write_latencies_csv(std::ostream& os) const {
 
 void Metrics::reset() {
   counters_.clear();
-  backlog_.clear();
-  link_busy_.clear();
+  kinds_.clear();  // every handle pointed into counters_
+  class_handle_ = {};
+  std::fill(backlog_.begin(), backlog_.end(), util::Accumulator{});
+  std::fill(link_busy_.begin(), link_busy_.end(), 0);
   window_start_ = simulator_.now();
   broadcast_at_.clear();
   first_delivery_.clear();

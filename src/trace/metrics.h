@@ -14,6 +14,7 @@
 // ground-truth clusters at the moment of sending.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -112,17 +113,54 @@ class Metrics : public net::NetObserver {
   void reset();
 
  private:
+  // Counter families with one counter per message kind.
+  enum KindFamily : std::uint8_t {
+    kSend,             // send.<kind>
+    kSendBytes,        // send_bytes.<kind>
+    kSendInter,        // send.intercluster.<kind>
+    kSendBytesInter,   // send_bytes.intercluster.<kind>
+    kDeliver,          // deliver.<kind>
+    kLinkKind,         // link.<class>.<kind>, one per link class
+    kKindFamilies = kLinkKind + 2,
+  };
+  // Counter families with one counter per link class.
+  enum ClassFamily : std::uint8_t {
+    kLink,       // link.<class>
+    kLinkBytes,  // link_bytes.<class>
+    kClassFamilies,
+  };
+
+  // Pre-resolved counter handles of one message kind. Each handle points
+  // into counters_ (CounterMap::at) and is resolved on its first use, so a
+  // counter exists exactly when the plain string-keyed increments would
+  // have created it; reset() drops them all.
+  struct KindCounters {
+    std::string kind;
+    std::array<std::uint64_t*, kKindFamilies> handle{};
+  };
+
   [[nodiscard]] bool crosses_clusters(HostId a, HostId b);
   [[nodiscard]] static bool is_data_kind(const std::string& kind);
+
+  // Hot: a linear scan over the handful of kinds seen so far.
+  KindCounters& kind_counters(const std::string& kind);
+  void add(KindCounters& k, KindFamily family, std::uint64_t by);
+  void add(ClassFamily family, topo::LinkClass cls, std::uint64_t by);
+  // Cold: first sight of a kind, first use of a handle.
+  KindCounters& add_kind(const std::string& kind);
+  std::uint64_t* resolve(const KindCounters& k, KindFamily family);
+  std::uint64_t* resolve(ClassFamily family, topo::LinkClass cls);
 
   sim::Simulator& simulator_;
   net::Network& network_;
 
   util::CounterMap counters_;
-  // Ordered: busiest_trunk() iterates link_busy_ and breaks utilization
-  // ties by iteration order, which must be stable across runs.
-  std::map<ServerId, util::Accumulator> backlog_;
-  std::map<LinkId, sim::Duration> link_busy_;
+  std::vector<KindCounters> kinds_;
+  std::array<std::array<std::uint64_t*, 2>, kClassFamilies> class_handle_{};
+  // Indexed by server id and link id. busiest_trunk() scans link_busy_ in
+  // ascending id order, which breaks utilization ties deterministically.
+  std::vector<util::Accumulator> backlog_;
+  std::vector<sim::Duration> link_busy_;
   sim::TimePoint window_start_{0};
 
   std::map<Seq, sim::TimePoint> broadcast_at_;

@@ -363,6 +363,36 @@ TEST(AllocPass, RefcountedPayloadRelayStaysAllocationFree) {
   EXPECT_TRUE(fires(old_idiom.findings, "hot-alloc"));
 }
 
+TEST(AllocPass, NetworkHopPathAndMetricsObserverAreHot) {
+  // Every transmission runs these; their first-use work (pool growth,
+  // counter-name resolution) lives in cold functions outside the set.
+  const auto hot = run({{"src/net/network.cpp",
+                         "void Network::send(HostId to) {\n"
+                         "  pending_.push_back(to);\n"
+                         "}\n"
+                         "void Network::land(std::uint32_t slot) {\n"
+                         "  auto p = std::make_shared<Packet>();\n"
+                         "}\n"
+                         "void Network::arrive_at_server(std::uint32_t s) {\n"
+                         "  hops_.emplace_back(s);\n"
+                         "}\n"},
+                        {"src/trace/metrics.cpp",
+                         "void Metrics::on_link_transmit(LinkId l) {\n"
+                         "  names_.insert(std::string(\"link.\"));\n"
+                         "}\n"}});
+  EXPECT_EQ(4u, count_rule(hot.findings, "hot-alloc"));
+
+  const auto cold = run({{"src/net/network.cpp",
+                          "std::uint32_t Network::grow_pool() {\n"
+                          "  pool_.emplace_back();\n"
+                          "}\n"},
+                         {"src/trace/metrics.cpp",
+                          "std::uint64_t* Metrics::resolve(Family f) {\n"
+                          "  names_.insert(std::string(\"link.\"));\n"
+                          "}\n"}});
+  EXPECT_FALSE(fires(cold.findings, "hot-alloc"));
+}
+
 // --- waivers ------------------------------------------------------------
 
 TEST(Waivers, SuppressExactlyTheNamedRuleAndAreCounted) {

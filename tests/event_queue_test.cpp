@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace rbcast::sim {
@@ -49,6 +50,52 @@ TEST(EventQueue, CancelAfterFireReturnsFalse) {
   const EventId id = q.schedule(10, [] {});
   q.pop().action();
   EXPECT_FALSE(q.cancel(id));
+}
+
+TEST(EventQueue, StaleHandleIsRejectedAfterSlotReuse) {
+  // Firing and cancelling free an action slot that the next schedule()
+  // reuses; handles to the old occupants must not reach the new one.
+  EventQueue q;
+  const EventId fired = q.schedule(10, [] {});
+  q.pop().action();
+  const EventId cancelled = q.schedule(20, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  bool ran = false;
+  const EventId occupant = q.schedule(30, [&] { ran = true; });
+  EXPECT_EQ(q.slot_count(), 1u);  // every event above shared one slot
+  EXPECT_NE(occupant, fired);
+  EXPECT_NE(occupant, cancelled);
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.size(), 1u);
+  auto f = q.pop();
+  EXPECT_EQ(f.time, 30);
+  f.action();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, RejectsHandlesItNeverIssued) {
+  EventQueue q;
+  EXPECT_FALSE(q.cancel(EventId{}));
+  q.schedule(10, [] {});
+  EXPECT_FALSE(q.cancel(EventId{}));
+  EXPECT_FALSE(q.cancel(EventId{(std::uint64_t{1} << 32) | 7}));
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, PopDueStopsAtTheLimit) {
+  EventQueue q;
+  const EventId early = q.schedule(5, [] {});
+  q.schedule(10, [] {});
+  q.schedule(20, [] {});
+  q.cancel(early);
+  auto first = q.pop_due(15);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->time, 10);
+  EXPECT_FALSE(q.pop_due(15).has_value());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop_due(20)->time, 20);
+  EXPECT_FALSE(q.pop_due(100).has_value());
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "topo/generators.h"
 
@@ -34,6 +36,44 @@ struct Fixture {
             std::size_t bytes = 100) {
     network->send(from, to, std::any(std::string("payload")), bytes, kind);
   }
+};
+
+// The string-keyed counting trace::Metrics did before its counters got
+// pre-resolved handles: every name built per event. The handle path must
+// produce exactly this counter map.
+class StringKeyedCounters final : public net::NetObserver {
+ public:
+  explicit StringKeyedCounters(net::Network& network) : network_(network) {}
+
+  void on_host_send(const net::Delivery& d) override {
+    counters.inc("send." + d.kind);
+    counters.inc("send_bytes." + d.kind, d.bytes);
+    const auto cluster = network_.host_cluster_index();
+    if (cluster[static_cast<std::size_t>(d.from.value)] !=
+        cluster[static_cast<std::size_t>(d.to.value)]) {
+      counters.inc("send.intercluster." + d.kind);
+      counters.inc("send_bytes.intercluster." + d.kind, d.bytes);
+    }
+  }
+  void on_deliver(const net::Delivery& d) override {
+    counters.inc("deliver." + d.kind);
+  }
+  void on_drop(const net::Delivery& d, net::DropReason reason) override {
+    counters.inc(std::string("drop.") + to_string(reason));
+    counters.inc("drop_kind." + d.kind);
+  }
+  void on_link_transmit(LinkId link, const net::Delivery& d) override {
+    const char* cls =
+        topo::to_string(network_.topology().link(link).link_class);
+    counters.inc(std::string("link.") + cls);
+    counters.inc(std::string("link.") + cls + "." + d.kind);
+    counters.inc(std::string("link_bytes.") + cls, d.bytes);
+  }
+
+  util::CounterMap counters;
+
+ private:
+  net::Network& network_;
 };
 
 TEST(Metrics, CountsSendsByKind) {
@@ -201,6 +241,74 @@ TEST(Metrics, CsvExports) {
   EXPECT_NE(latencies.str().find("seq,host,latency_seconds"),
             std::string::npos);
   EXPECT_NE(latencies.str().find("1,1,0.5"), std::string::npos);
+}
+
+TEST(Metrics, CountsAgainAfterReset) {
+  // reset() clears the counter map the handles point into; counting after
+  // it must re-resolve them (a stale handle would write into freed memory
+  // and the second window would read zero).
+  Fixture f;
+  f.send(HostId{0}, HostId{2}, "data");
+  f.send(HostId{0}, HostId{1}, "info", 40);
+  f.sim.run_until(sim::seconds(5));
+  EXPECT_EQ(f.metrics->counter("send.data"), 1u);
+  EXPECT_EQ(f.metrics->counter("link.expensive.data"), 1u);
+
+  f.metrics->reset();
+  EXPECT_TRUE(f.metrics->counters().all().empty());
+
+  f.send(HostId{0}, HostId{2}, "data", 60);
+  f.send(HostId{0}, HostId{2}, "data", 60);
+  f.sim.run_until(sim::seconds(10));
+  EXPECT_EQ(f.metrics->counter("send.data"), 2u);
+  EXPECT_EQ(f.metrics->counter("send_bytes.data"), 120u);
+  EXPECT_EQ(f.metrics->counter("send.intercluster.data"), 2u);
+  EXPECT_EQ(f.metrics->counter("deliver.data"), 2u);
+  EXPECT_EQ(f.metrics->counter("link.expensive"), 2u);
+  EXPECT_EQ(f.metrics->counter("link.expensive.data"), 2u);
+  EXPECT_EQ(f.metrics->counter("link_bytes.expensive"), 120u);
+  EXPECT_FALSE(f.metrics->counters().all().contains("send.info"));
+}
+
+TEST(Metrics, HandlesReproduceStringKeyedCounters) {
+  // Mixed kinds over both link classes, with drops, across a reset: the
+  // pre-resolved handles must leave counters().all() exactly as the
+  // per-event string keys did — same names, same values, nothing extra.
+  Fixture f;
+  StringKeyedCounters reference(*f.network);
+  net::NetObserverFanout fanout;
+  fanout.add(f.metrics.get());
+  fanout.add(&reference);
+  f.network->set_observer(&fanout);
+
+  const std::vector<std::string> kinds = {"data", "info", "gapfill",
+                                          "attach_req", "data_retx"};
+  auto traffic = [&](int round) {
+    std::size_t k = 0;
+    for (const auto& from : f.wan.topology.hosts()) {
+      for (const auto& to : f.wan.topology.hosts()) {
+        if (from.id == to.id) continue;
+        const std::string& kind = kinds[(k + static_cast<std::size_t>(round)) %
+                                        kinds.size()];
+        f.send(from.id, to.id, kind, 20 + 10 * k);
+        ++k;
+      }
+    }
+  };
+  traffic(0);
+  f.sim.run_until(sim::seconds(20));
+  EXPECT_EQ(f.metrics->counters().all(), reference.counters.all());
+  EXPECT_GT(f.metrics->counter("link.cheap"), 0u);
+  EXPECT_GT(f.metrics->counter("link.expensive"), 0u);
+
+  f.metrics->reset();
+  reference.counters.clear();
+  f.network->set_link_up(f.wan.trunks[0], false);  // drops, reclustering
+  traffic(1);
+  f.sim.run_until(sim::seconds(40));
+  EXPECT_GT(f.metrics->counter_prefix_sum("drop."), 0u);
+  EXPECT_EQ(f.metrics->counters().all(), reference.counters.all());
+  f.network->set_observer(f.metrics.get());
 }
 
 TEST(Metrics, ResetClearsEverything) {

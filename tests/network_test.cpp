@@ -181,7 +181,39 @@ TEST(Network, DuplicatingLinkDeliversTwice) {
 
   h.send(HostId{0}, HostId{1}, "twice");
   h.sim.run_until(sim::seconds(5));
-  EXPECT_EQ(h.inbox[1].size(), 2u);
+  ASSERT_EQ(h.inbox[1].size(), 2u);
+  // Packets move along their path; only the duplicate is a copy. Both
+  // must carry the payload, not a moved-from husk.
+  EXPECT_EQ(h.inbox[1][0].payload, "twice");
+  EXPECT_EQ(h.inbox[1][1].payload, "twice");
+  EXPECT_EQ(h.network->packets_in_flight(), 0u);
+}
+
+TEST(Network, DuplicationOnEveryHopKeepsEveryCopyIntact) {
+  // Access hop out, trunk, access hop in: each doubles the packets, so
+  // one send arrives 8 times, every copy with its payload and cost bit.
+  topo::LinkParams dup = topo::LinkParams::expensive_defaults();
+  dup.duplication_probability = 1.0;
+  topo::LinkParams access_dup = topo::LinkParams::cheap_defaults();
+  access_dup.duplication_probability = 1.0;
+  topo::Topology t;
+  const ServerId s0 = t.add_server();
+  const ServerId s1 = t.add_server();
+  t.add_link(s0, s1, topo::LinkClass::kExpensive, dup);
+  t.add_host(s0, access_dup);
+  t.add_host(s1, access_dup);
+
+  Harness h;
+  h.init(std::move(t));
+  h.send(HostId{0}, HostId{1}, "eightfold");
+  h.sim.run_until(sim::seconds(5));
+  ASSERT_EQ(h.inbox[1].size(), 8u);
+  for (const Received& r : h.inbox[1]) {
+    EXPECT_EQ(r.payload, "eightfold");
+    EXPECT_TRUE(r.expensive);
+    EXPECT_EQ(r.from, HostId{0});
+  }
+  EXPECT_EQ(h.network->packets_in_flight(), 0u);
 }
 
 TEST(Network, ObserverSeesSendTransmitDeliver) {
@@ -375,6 +407,56 @@ TEST(Network, LinkFailureKillsInFlightPackets) {
   h.network->set_link_up(wan.trunks[0], true);
   h.sim.run_until(sim::seconds(5));
   EXPECT_TRUE(h.inbox[1].empty());
+}
+
+TEST(Network, LinkFailureKillsOnlyThatLinksPackets) {
+  // c0 - c1 - c2 on a line, one host each: h0 -> h1 crosses trunk 0,
+  // h2 -> h1 crosses trunk 1. Downing trunk 0 while both are in flight
+  // kills only the packets on it.
+  topo::ClusteredWanOptions options;
+  options.clusters = 3;
+  options.hosts_per_cluster = 1;
+  options.shape = topo::TrunkShape::kLine;
+  const auto wan = make_clustered_wan(options);
+  Harness h;
+  h.init(wan.topology);
+
+  for (int i = 0; i < 3; ++i) {
+    h.send(HostId{0}, HostId{1}, "left " + std::to_string(i), 100);
+    h.send(HostId{2}, HostId{1}, "right " + std::to_string(i), 100);
+  }
+  h.sim.run_until(sim::milliseconds(10));  // all six on their trunks
+  ASSERT_EQ(h.network->packets_in_flight(), 6u);
+  const topo::LinkSpec& left = h.topology.link(wan.trunks[0]);
+  const ServerId s0 = h.topology.host(HostId{0}).server;
+  ASSERT_TRUE(left.a == s0 || left.b == s0);
+  h.network->set_link_up(left.id, false);
+  EXPECT_EQ(h.network->packets_in_flight(), 3u);
+  h.sim.run_until(sim::seconds(5));
+  ASSERT_EQ(h.inbox[1].size(), 3u);
+  for (const Received& r : h.inbox[1]) {
+    EXPECT_EQ(r.from, HostId{2});
+    EXPECT_EQ(r.payload.rfind("right ", 0), 0u);
+  }
+  EXPECT_EQ(h.network->packets_in_flight(), 0u);
+}
+
+TEST(Network, PacketPoolStaysAtPeakInFlight) {
+  // Freed slots are reused: rounds of 20 concurrent sends never need more
+  // than the first round's 20 slots, however many packets go through.
+  Harness h;
+  h.init(topo::make_clustered_wan({.clusters = 2, .hosts_per_cluster = 2})
+             .topology);
+  std::size_t delivered = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 20; ++i) h.send(HostId{0}, HostId{3}, "x");
+    EXPECT_EQ(h.network->packets_in_flight(), 20u);
+    h.sim.run_until(h.sim.now() + sim::seconds(5));
+    delivered += 20;
+    ASSERT_EQ(h.inbox[3].size(), delivered);
+    EXPECT_EQ(h.network->packets_in_flight(), 0u);
+    EXPECT_EQ(h.network->packet_pool_size(), 20u);
+  }
 }
 
 TEST(Network, AccessLinkFailureKillsInFlightDelivery) {

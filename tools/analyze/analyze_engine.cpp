@@ -462,6 +462,25 @@ HotSpec default_hot_spec() {
       {"BroadcastHost", "on_*"},
       {"BroadcastHost", "handle_*"},
       {"SeqSet", "*"},
+      // The per-hop network path: every transmission of every packet.
+      {"Network", "send"},
+      {"Network", "arrive_at_server"},
+      {"Network", "deliver_to_host"},
+      {"Network", "hand_to_host"},
+      {"Network", "schedule_on_link"},
+      {"Network", "launch"},
+      {"Network", "land"},
+      {"Network", "acquire_slot"},
+      {"Network", "release_slot"},
+      {"Network", "discard"},
+      // trace::Metrics observes every hop; handle resolution is cold
+      // (Metrics::resolve, Metrics::add_kind) and stays out of this list.
+      {"Metrics", "on_host_send"},
+      {"Metrics", "on_deliver"},
+      {"Metrics", "on_link_transmit"},
+      {"Metrics", "on_queue_backlog"},
+      {"Metrics", "kind_counters"},
+      {"Metrics", "add"},
   }};
 }
 
