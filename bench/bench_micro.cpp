@@ -402,6 +402,110 @@ void BM_RegistrySnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistrySnapshot);
 
+// --- protocol core --------------------------------------------------------
+
+std::vector<HostId> host_range(int n) {
+  std::vector<HostId> out;
+  for (int i = 0; i < n; ++i) out.push_back(HostId{i});
+  return out;
+}
+
+// What every INFO upcall does to HostState on a 96-host system: merge the
+// sender's INFO set into MAP, record its parent, apply its cost bit —
+// cycling over the 96 ids, four hosts to a cluster (the own id is a
+// no-op).
+void BM_HostStateInfoUpdate(benchmark::State& state) {
+  constexpr int kHosts = 96;
+  core::HostState host(HostId{5}, host_range(kHosts), HostId{0});
+  const util::SeqSet info = util::SeqSet::contiguous(400);
+  int j = 0;
+  for (auto _ : state) {
+    j = j + 1 == kHosts ? 0 : j + 1;
+    const HostId peer{j};
+    host.learn_info(peer, info);
+    host.learn_parent(peer, HostId{j / 4 * 4});
+    host.update_cluster_from_cost_bit(peer, /*expensive=*/j / 4 != 1);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(host.safe_prefix());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostStateInfoUpdate);
+
+// One attachment decision of a cluster leader (case II: its parent sits in
+// another cluster) that stays put: options (1), (2) and II.3 each scan
+// every host, which is the procedure's worst case.
+void BM_RunAttachment(benchmark::State& state) {
+  const int hosts = static_cast<int>(state.range(0));
+  core::HostState host(HostId{5}, host_range(hosts), HostId{0});
+  std::vector<HostId> cluster;
+  for (int h = 4; h < 8; ++h) cluster.push_back(HostId{h});
+  host.set_cluster(cluster);
+  host.record_message(1, "b");
+  for (int h = 0; h < hosts; ++h) {
+    if (h == 5) continue;
+    host.learn_info(HostId{h}, util::SeqSet::contiguous(1));
+    host.learn_parent(HostId{h}, h < 4 ? kNoHost : HostId{h / 4 * 4 - 1});
+  }
+  host.set_parent(HostId{3});
+  host.learn_parent(HostId{4}, HostId{5});
+  host.learn_parent(HostId{6}, HostId{5});
+  host.learn_parent(HostId{7}, HostId{5});
+  const core::ExclusionFn none = [](HostId) { return false; };
+  for (auto _ : state) {
+    const auto decision = core::run_attachment(host, none);
+    benchmark::DoNotOptimize(decision.candidate);
+  }
+  if (core::run_attachment(host, none).action !=
+      core::AttachmentDecision::Action::kNone) {
+    state.SkipWithError("the leader was expected to keep its parent");
+  }
+}
+BENCHMARK(BM_RunAttachment)->Arg(96);
+
+// One INFO message through BroadcastHost::on_delivery on a 96-host system:
+// the sender's MAP, parent and cluster bit, the child reconciliation and
+// the liveness stamp. Sends go to a sink that drops them.
+void BM_BroadcastHostOnInfo(benchmark::State& state) {
+  constexpr int kHosts = 96;
+  class Sink final : public net::HostEndpoint {
+   public:
+    explicit Sink(HostId self) : self_(self) {}
+    [[nodiscard]] HostId self() const override { return self_; }
+    void send(HostId, std::any, std::size_t, std::string,
+              net::TraceId) override {}
+
+   private:
+    HostId self_;
+  };
+  sim::Simulator simulator;
+  Sink sink(HostId{5});
+  core::BroadcastHost host(simulator, sink, HostId{0}, host_range(kHosts),
+                           core::Config{}, util::Rng(1));
+  std::vector<net::Delivery> deliveries;
+  for (int j = 0; j < kHosts; ++j) {
+    if (j == 5) continue;
+    net::Delivery d;
+    d.from = HostId{j};
+    d.to = HostId{5};
+    d.expensive = j / 4 != 1;
+    d.payload = std::any(core::ProtocolMessage{
+        core::InfoMsg{util::SeqSet::contiguous(400), HostId{j / 4 * 4}}});
+    d.bytes = 40;
+    d.kind = "info";
+    deliveries.push_back(std::move(d));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    host.on_delivery(deliveries[i]);
+    benchmark::ClobberMemory();
+    i = i + 1 == deliveries.size() ? 0 : i + 1;
+  }
+  benchmark::DoNotOptimize(host.state().safe_prefix());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BroadcastHostOnInfo);
+
 // --- routing & full scenario --------------------------------------------
 
 void BM_RoutingRecompute(benchmark::State& state) {

@@ -29,7 +29,7 @@
 // hand-built HostState.
 #pragma once
 
-#include <set>
+#include <functional>
 #include <string>
 
 #include "core/host_state.h"
@@ -51,15 +51,18 @@ struct AttachmentDecision {
   std::string rule;
 };
 
+// True for hosts that recently failed the attach handshake ("If the
+// acknowledgment ... times out, the procedure is repeated to find another
+// candidate"); they are skipped this round. An empty function excludes
+// nobody.
+using ExclusionFn = std::function<bool(HostId)>;
+
 // Runs the candidate selection for host `state.self()`.
 //
-// `excluded` holds hosts that recently failed the attach handshake
-// ("If the acknowledgment ... times out, the procedure is repeated to find
-// another candidate"); they are skipped this round.
 // `parent_switch_margin` implements Config::parent_switch_margin for
 // case II option (3).
 [[nodiscard]] AttachmentDecision run_attachment(
-    const HostState& state, const std::set<HostId>& excluded,
+    const HostState& state, const ExclusionFn& excluded,
     Seq parent_switch_margin = 0);
 
 }  // namespace rbcast::core

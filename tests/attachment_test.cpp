@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rbcast::core {
 namespace {
 
@@ -13,7 +15,14 @@ std::vector<HostId> hosts(int n) {
   return out;
 }
 
-const std::set<HostId> kNoExclusions;
+const ExclusionFn kNoExclusions;
+
+// Excludes exactly the listed hosts.
+ExclusionFn excluding(std::vector<HostId> hosts) {
+  return [hosts = std::move(hosts)](HostId j) {
+    return std::find(hosts.begin(), hosts.end(), j) != hosts.end();
+  };
+}
 
 // Convenience: a state for host `self` among n hosts.
 HostState make_state(int self, int n) { return HostState(HostId{self}, hosts(n)); }
@@ -258,9 +267,9 @@ TEST(Attachment, ExcludedCandidatesAreSkipped) {
   s.learn_info(HostId{2}, SeqSet::contiguous(4));
   const auto first = run_attachment(s, kNoExclusions);
   EXPECT_EQ(first.candidate, HostId{1});
-  const auto second = run_attachment(s, {HostId{1}});
+  const auto second = run_attachment(s, excluding({HostId{1}}));
   EXPECT_EQ(second.candidate, HostId{2});
-  const auto none = run_attachment(s, {HostId{1}, HostId{2}});
+  const auto none = run_attachment(s, excluding({HostId{1}, HostId{2}}));
   EXPECT_EQ(none.action, AttachmentDecision::Action::kNone);
 }
 
