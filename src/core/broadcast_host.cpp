@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "core/gap_filling.h"
 #include "util/assert.h"
-#include "util/logging.h"
 
 namespace rbcast::core {
 
@@ -14,30 +12,29 @@ BroadcastHost::BroadcastHost(util::Scheduler& scheduler,
                              util::Rng rng, AppDeliverFn app_deliver)
     : scheduler_(scheduler),
       endpoint_(endpoint),
-      source_(source),
-      config_(std::move(config)),
-      state_(endpoint.self(), std::move(all_hosts), source),
-      rng_(rng),
+      protocol_(endpoint.self(), source, std::move(all_hosts),
+                std::move(config), rng),
       app_deliver_(std::move(app_deliver)) {
-  RBCAST_CHECK_ARG(source.valid(), "invalid source id");
-
-  attach_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.attach_period, [this] { attachment_round(); });
-  info_intra_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.info_period_intra, [this] { info_round_intra(); });
-  info_inter_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.info_period_inter, [this] { info_round_inter(); });
-  gapfill_neighbor_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.gapfill_period_neighbor,
-      [this] { gapfill_round_neighbor(); });
-  gapfill_far_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.gapfill_period_far, [this] { gapfill_round_far(); });
+  const Config& c = protocol_.config();
   // Maintenance must run well inside the shortest timeout it enforces.
   const util::Duration maintenance_period = std::max<util::Duration>(
-      util::milliseconds(100),
-      std::min(config_.parent_timeout, config_.child_timeout) / 4);
-  maintenance_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, maintenance_period, [this] { maintenance_round(); });
+      util::milliseconds(100), std::min(c.parent_timeout, c.child_timeout) / 4);
+  auto every = [this](util::Duration period, std::function<void()> action) {
+    tasks_.push_back(std::make_unique<util::PeriodicTask>(scheduler_, period,
+                                                          std::move(action)));
+  };
+  tasks_.reserve(6);
+  every(c.attach_period, [this] { attachment_round(); });
+  every(c.info_period_intra,
+        [this] { protocol_.info_round_intra(scheduler_.now(), *this); });
+  every(c.info_period_inter,
+        [this] { protocol_.info_round_inter(scheduler_.now(), *this); });
+  every(c.gapfill_period_neighbor,
+        [this] { protocol_.gapfill_round_neighbor(scheduler_.now(), *this); });
+  every(c.gapfill_period_far,
+        [this] { protocol_.gapfill_round_far(scheduler_.now(), *this); });
+  every(maintenance_period,
+        [this] { protocol_.maintenance_round(scheduler_.now(), *this); });
 }
 
 BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
@@ -110,574 +107,69 @@ void BroadcastHost::register_metrics(util::MetricsRegistry& registry,
   };
   for (const Field& f : kFields) {
     registry.register_counter_fn(
-        f.name, labels, f.help, [this, m = f.member] { return counters_.*m; });
+        f.name, labels, f.help, [this, m = f.member] { return counters().*m; });
     metrics_names_.emplace_back(f.name);
   }
-  registry.register_gauge_fn(
-      "host.info_count", labels, "Sequences held in INFO_i",
-      [this] { return static_cast<double>(state_.info().count()); });
-  metrics_names_.emplace_back("host.info_count");
-  registry.register_gauge_fn(
-      "host.max_seq", labels, "Sequence watermark (MAX_i)",
-      [this] { return static_cast<double>(state_.info().max_seq()); });
-  metrics_names_.emplace_back("host.max_seq");
-  registry.register_gauge_fn(
-      "host.parent", labels, "Current parent host id (-1 = NIL)", [this] {
-        return static_cast<double>(parent().valid() ? parent().value : -1);
-      });
-  metrics_names_.emplace_back("host.parent");
-  registry.register_gauge_fn(
-      "host.cluster_size", labels, "Hosts currently in CLUSTER_i",
-      [this] { return static_cast<double>(state_.cluster().size()); });
-  metrics_names_.emplace_back("host.cluster_size");
+  auto gauge = [&](const char* name, const char* help, auto read) {
+    registry.register_gauge_fn(name, labels, help,
+                               [read] { return static_cast<double>(read()); });
+    metrics_names_.emplace_back(name);
+  };
+  gauge("host.info_count", "Sequences held in INFO_i",
+        [this] { return info().count(); });
+  gauge("host.max_seq", "Sequence watermark (MAX_i)",
+        [this] { return info().max_seq(); });
+  gauge("host.parent", "Current parent host id (-1 = NIL)",
+        [this] { return parent().valid() ? parent().value : -1; });
+  gauge("host.cluster_size", "Hosts currently in CLUSTER_i",
+        [this] { return state().cluster().size(); });
 }
 
 void BroadcastHost::start() {
   // Jitter first activations so hosts do not act in lock-step; each task
   // starts somewhere inside its own first period.
-  auto phase = [this](util::Duration period) {
-    return util::phase_jitter(rng_, period);
-  };
-  attach_task_->start(phase(config_.attach_period));
-  info_intra_task_->start(phase(config_.info_period_intra));
-  info_inter_task_->start(phase(config_.info_period_inter));
-  gapfill_neighbor_task_->start(phase(config_.gapfill_period_neighbor));
-  gapfill_far_task_->start(phase(config_.gapfill_period_far));
-  maintenance_task_->start(phase(maintenance_task_->period()));
-  last_parent_heard_ = scheduler_.now();
-}
-
-Seq BroadcastHost::broadcast(std::string body) {
-  RBCAST_ASSERT_MSG(is_source(), "broadcast() called on a non-source host");
-  const Seq seq = next_seq_++;
-  // "INFO_s ... gets updated every time a new broadcast message is
-  // generated at the source."
-  const bool fresh = state_.record_message(seq, std::move(body));
-  RBCAST_ASSERT(fresh);
-  if (config_.auth_enabled) {
-    auth_tags_[seq] = make_auth_tag(config_.auth_secret, self(), seq,
-                                    state_.body_of(seq)->view());
+  for (const auto& task : tasks_) {
+    task->start(util::phase_jitter(protocol_.rng(), task->period()));
   }
-  ++counters_.deliveries;
-  if (observer_ != nullptr) observer_->on_delivered(self(), seq);
-  if (app_deliver_) app_deliver_(seq, state_.body_of(seq)->view());
-  // "Broadcast is initiated when the source sends a message to its cluster
-  // neighbors" — in parent-graph terms, to its children.
-  for (HostId child : state_.children()) {
-    if (!state_.map(child).contains(seq)) {
-      send_message(child, make_data(seq, *state_.body_of(seq),
-                                    /*gap_fill=*/false));
-      note_offered(child, seq);
-      ++counters_.data_forwarded;
-    }
-  }
-  return seq;
+  protocol_.start(scheduler_.now());
 }
 
 void BroadcastHost::on_delivery(const net::Delivery& delivery) {
-  // Every per-peer table is indexed by host id; a sender outside all_hosts
-  // has no record, so it is dropped before anything is touched.
-  PeerRecord* const peer = find_record(delivery.from);
-  if (peer == nullptr) {
-    ++counters_.unknown_sender_drops;
-    return;
-  }
-
-  const auto* message = std::any_cast<ProtocolMessage>(&delivery.payload);
-  if (message == nullptr) {
-    // A payload that failed wire decoding (or a wiring bug in a test):
-    // count and drop before any liveness or cluster bookkeeping — a
-    // malformed datagram must not vouch for its claimed sender.
-    ++counters_.decode_errors;
-    return;
-  }
-
-  // Authentication gate (Config::auth_enabled): a data frame whose tag is
-  // missing or does not verify is dropped here, before *any* bookkeeping —
-  // a forged frame must not freshen liveness timers, flip cluster bits, or
-  // smuggle in a piggybacked INFO report.
-  if (config_.auth_enabled) {
-    if (const auto* data = std::get_if<DataMsg>(message)) {
-      if (!data->auth.has_value() ||
-          !verify_auth_tag(config_.auth_secret, source_, data->seq,
-                           data->body.view(), *data->auth)) {
-        ++counters_.auth_rejects;
-        return;
-      }
-    }
-  }
-
-  const HostId from = delivery.from;
-  // "This set can be updated when a message (of any kind ...) is received
-  // from another host j" — the cost-bit rule, unless cluster knowledge is
-  // static or disabled.
-  if (config_.cluster_knowledge == Config::ClusterKnowledge::kDynamic) {
-    state_.update_cluster_from_cost_bit(from, delivery.expensive);
-  }
-  peer->last_heard = scheduler_.now();
-  if (from == state_.parent()) last_parent_heard_ = scheduler_.now();
-
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, DataMsg>) {
-          handle_data(from, m);
-        } else if constexpr (std::is_same_v<T, InfoMsg>) {
-          handle_info(from, m);
-        } else if constexpr (std::is_same_v<T, AttachRequest>) {
-          handle_attach_request(from, m);
-        } else if constexpr (std::is_same_v<T, AttachAccept>) {
-          handle_attach_accept(from, m);
-        } else {
-          static_assert(std::is_same_v<T, DetachNotice>);
-          handle_detach(from);
-        }
-      },
-      *message);
-}
-
-// --- data path --------------------------------------------------------
-
-void BroadcastHost::handle_data(HostId from, const DataMsg& m) {
-  // Piggybacked control state (Section 6) is processed like a standalone
-  // INFO message, before any accept/discard decision.
-  if (m.piggyback.has_value()) {
-    handle_info(from, InfoMsg{m.piggyback->first, m.piggyback->second});
-  }
-  // Receiving a data message from j proves j has it.
-  state_.learn_has(from, m.seq);
-
-  if (state_.has_message(m.seq)) {
-    // "A message is also discarded if the recipient host has previously
-    // accepted it."
-    ++counters_.duplicates_discarded;
-    return;
-  }
-  if (is_source()) return;  // the source originates the stream; no gaps
-
-  const bool new_max = m.seq > state_.info().max_seq();
-  if (new_max && from != state_.parent()) {
-    // "a host can accept a message sequence-numbered higher than any it
-    // has received so far, only from its parent. If such a message arrives
-    // from any other host, it is discarded."
-    ++counters_.new_max_rejected;
-    if (observer_ != nullptr) observer_->on_new_max_rejected(self(), from, m.seq);
-    return;
-  }
-  // The tag verified in on_delivery() travels with the body: forwards and
-  // gap fills re-attach the source's original signature.
-  if (config_.auth_enabled && m.auth.has_value()) auth_tags_[m.seq] = *m.auth;
-  accept_message(m.seq, m.body, new_max, from);
-}
-
-void BroadcastHost::accept_message(Seq seq, const Payload& body,
-                                   bool was_new_max, HostId from) {
-  const bool fresh = state_.record_message(seq, body);
-  RBCAST_ASSERT(fresh);
-  ++counters_.deliveries;
-  if (observer_ != nullptr) {
-    observer_->on_delivered(self(), seq);
-    if (!was_new_max) observer_->on_gapfill_accepted(self(), from, seq);
-  }
-  if (app_deliver_) app_deliver_(seq, body.view());
-
-  if (was_new_max) {
-    // "upon receipt of a broadcast message, a host sends it on to all its
-    // children" (skipping children known to have it already).
-    for (HostId child : state_.children()) {
-      if (child == from) continue;
-      if (state_.map(child).contains(seq)) continue;
-      send_message(child, make_data(seq, body, /*gap_fill=*/false));
-      note_offered(child, seq);
-      ++counters_.data_forwarded;
-    }
-  } else {
-    // "When a host receives a gap filling message ..., it forwards it to
-    // all those of its parent graph neighbors (its children and its
-    // parent) that according to its MAP do not have it."
-    for (HostId n : state_.neighbors()) {
-      if (n == from) continue;
-      if (state_.map(n).contains(seq)) continue;
-      if (recent_offers(n).contains(seq)) continue;  // just offered it
-      send_message(n, make_data(seq, body, /*gap_fill=*/true));
-      note_offered(n, seq);
-      ++counters_.gapfills_sent;
-      if (observer_ != nullptr) observer_->on_gapfill_relayed(self(), n, seq);
-    }
-  }
-}
-
-// --- control path ---------------------------------------------------------
-
-void BroadcastHost::handle_info(HostId from, const InfoMsg& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.learn_parent(from, m.parent);
-  // Reconcile CHILDREN with the sender's own claim. This is what makes the
-  // parent-pointer exchange load-bearing: a lost AttachAccept or a lost
-  // DetachNotice would otherwise leave the two ends disagreeing about the
-  // edge — and a host whose parent does not list it as a child can never
-  // receive new maxima.
-  if (m.parent == self()) {
-    state_.add_child(from);
-  } else {
-    state_.remove_child(from);
-  }
-}
-
-void BroadcastHost::handle_attach_request(HostId from,
-                                          const AttachRequest& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.add_child(from);
-  // The requester will set its parent pointer to us upon our accept.
-  state_.learn_parent(from, self());
-  send_message(from, AttachAccept{state_.info(), state_.parent()});
-
-  // "the parent examines its new child's INFO set and forwards to the
-  // child all those messages that the child is missing and that the
-  // parent has."
-  const SeqSet offered = recent_offers(from);
-  for (Seq seq : plan_attach_backfill(state_, m.info,
-                                      config_.attach_backfill_burst,
-                                      &offered)) {
-    send_gapfill(from, seq);
-  }
-}
-
-void BroadcastHost::handle_attach_accept(HostId from, const AttachAccept& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.learn_parent(from, m.parent);
-
-  if (pending_attach_ == from) {
-    scheduler_.cancel(attach_timer_);
-    attach_timer_ = util::EventId{};
-    pending_attach_ = kNoHost;
-
-    const HostId old_parent = state_.parent();
-    state_.set_parent(from);
-    state_.remove_child(from);  // a host cannot be both parent and child
-    last_parent_heard_ = scheduler_.now();
-    consecutive_attach_timeouts_ = 0;  // contact: immediate retries re-armed
-    ++counters_.attaches_completed;
-    if (observer_ != nullptr) observer_->on_attached(self(), from);
-    RBCAST_DEBUG(self() << " attached to " << from);
-
-    // "The old parent, if any, is also notified of the change."
-    if (old_parent.valid() && old_parent != from) {
-      send_message(old_parent, DetachNotice{});
-    }
-  } else if (from != state_.parent()) {
-    // A stale accept from an abandoned attempt: `from` now believes we are
-    // its child. Correct its CHILDREN set.
-    send_message(from, DetachNotice{});
-  }
-}
-
-void BroadcastHost::handle_detach(HostId from) { state_.remove_child(from); }
-
-// --- periodic activities -----------------------------------------------
-
-BroadcastHost::PeerRecord* BroadcastHost::find_record(HostId j) {
-  if (peers_.empty()) build_records();
-  const std::size_t rank = state_.rank_of(j);
-  return rank < peers_.size() ? &peers_[rank] : nullptr;
-}
-
-BroadcastHost::PeerRecord& BroadcastHost::record(HostId j) {
-  PeerRecord* peer = find_record(j);
-  RBCAST_ASSERT_MSG(peer != nullptr, "host id not among all_hosts");
-  return *peer;
-}
-
-void BroadcastHost::build_records() {
-  peers_.resize(state_.hosts_by_id().size());
-  far_behind_.resize(state_.all_hosts().size());
+  protocol_.on_delivery(scheduler_.now(), delivery, *this);
 }
 
 void BroadcastHost::attachment_round() {
-  // "The procedure is run at all hosts but the source."
-  if (is_source()) return;
   // A handshake is in flight iff its timeout is armed.
-  RBCAST_PARANOID_ASSERT(pending_attach_.valid() == attach_timer_.valid());
-  if (pending_attach_.valid()) return;  // handshake already in flight
-
-  // Hosts whose handshake timed out stay excluded until failed_until.
-  const ExclusionFn excluded = [this, now = scheduler_.now()](HostId j) {
-    const std::size_t rank = state_.rank_of(j);
-    return rank < peers_.size() && peers_[rank].failed_until > now;
-  };
-  auto decision =
-      run_attachment(state_, excluded, config_.parent_switch_margin);
-
-  if (decision.action == AttachmentDecision::Action::kBreakCycle) {
-    ++counters_.cycles_broken;
-    if (observer_ != nullptr) observer_->on_cycle_broken(self());
-    RBCAST_INFO(self() << " breaking single-cluster cycle");
-    detach_from_parent(/*notify=*/true, /*timeout=*/false);
-    // "... shall detach from its parent and go through the appropriate
-    // options for finding a new one" — i.e. case I, immediately.
-    decision = run_attachment(state_, excluded, config_.parent_switch_margin);
-  }
-  if (decision.action == AttachmentDecision::Action::kAttach) {
-    RBCAST_DEBUG(self() << " attachment rule " << decision.rule << " -> "
-                        << decision.candidate);
-    ++counters_.attempts_by_rule[decision.rule];
-    begin_attach(decision.candidate, decision.rule);
-  }
+  RBCAST_PARANOID_ASSERT(protocol_.pending_attach().valid() ==
+                         attach_timer_.valid());
+  protocol_.attachment_round(scheduler_.now(), *this);
 }
 
-void BroadcastHost::begin_attach(HostId candidate, const std::string& rule) {
-  RBCAST_ASSERT(!pending_attach_.valid());
-  pending_attach_ = candidate;
-  ++counters_.attach_attempts;
-  if (observer_ != nullptr) {
-    observer_->on_attach_requested(self(), candidate, rule);
-  }
-  send_message(candidate, AttachRequest{state_.info()});
-  attach_timer_ = scheduler_.after(
-      config_.attach_ack_timeout,
-      [this, candidate] { on_attach_timeout(candidate); });
-}
+// --- HostProtocol::Effects ----------------------------------------------
 
-void BroadcastHost::on_attach_timeout(HostId candidate) {
-  if (pending_attach_ != candidate) return;  // accept raced the timer
-  pending_attach_ = kNoHost;
-  attach_timer_ = util::EventId{};
-  ++counters_.attach_timeouts;
-  if (observer_ != nullptr) observer_->on_attach_timeout(self(), candidate);
-  // "If the acknowledgment to this message times out, the procedure is
-  // repeated to find another candidate with which the given host can
-  // communicate." Exclude the silent one for a few rounds and retry now —
-  // but only a bounded number of times in a row. When *every* candidate is
-  // silent (total partition), back-to-back immediate retries would keep
-  // cycling through the candidate list at rate 1/attach_ack_timeout
-  // (exclusions expire faster than a large list is exhausted), so after
-  // `attach_retry_burst` consecutive timeouts the retries fall back to the
-  // periodic attachment timer.
-  record(candidate).failed_until =
-      scheduler_.now() + 4 * config_.attach_period;
-  ++consecutive_attach_timeouts_;
-  if (consecutive_attach_timeouts_ <= config_.attach_retry_burst) {
-    attachment_round();
-  }
-}
-
-void BroadcastHost::detach_from_parent(bool notify, bool timeout) {
-  const HostId old_parent = state_.parent();
-  state_.set_parent(kNoHost);
-  if (observer_ != nullptr && old_parent.valid()) {
-    observer_->on_detached(self(), old_parent, timeout);
-  }
-  if (notify && old_parent.valid()) {
-    send_message(old_parent, DetachNotice{});
-  }
-}
-
-void BroadcastHost::info_round_intra() {
-  // Frequent exchange with cluster members and parent-graph neighbors, in
-  // ascending id order.
-  const InfoMsg msg{state_.info(), state_.parent()};
-  for (const HostId j : state_.hosts_by_id()) {
-    if (j == self()) continue;
-    if (!state_.in_cluster(j) && !state_.is_child(j) && j != state_.parent()) {
-      continue;
-    }
-    // A data message that piggybacked our INFO to j within the last round
-    // already did this round's job (Section 6) — skip the standalone report.
-    if (config_.piggyback_info) {
-      const auto& piggybacked = record(j).last_piggyback;
-      if (piggybacked.has_value() &&
-          scheduler_.now() - *piggybacked < config_.info_period_intra) {
-        continue;
-      }
-    }
-    send_message(j, msg);
-  }
-}
-
-void BroadcastHost::info_round_inter() {
-  // Rare exchange with everyone else; this is what lets remote hosts
-  // discover who is ahead (attachment options I.3/II.3) and what feeds
-  // non-neighbor gap filling.
-  // Cluster members and parent-graph neighbors hear from the frequent
-  // round instead.
-  const InfoMsg msg{state_.info(), state_.parent()};
-  for (HostId j : state_.all_hosts()) {
-    if (j == self() || state_.in_cluster(j) || state_.is_child(j) ||
-        j == state_.parent()) {
-      continue;
-    }
-    send_message(j, msg);
-  }
-}
-
-void BroadcastHost::gapfill_round_neighbor() {
-  for (HostId n : state_.neighbors()) {
-    if (!state_.in_cluster(n)) continue;  // out-of-cluster peers: far round
-    const SeqSet offered = recent_offers(n);
-    const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst, &offered);
-    for (Seq seq : plan) send_gapfill(n, seq);
-  }
-}
-
-void BroadcastHost::gapfill_round_far() {
-  // Out-of-cluster parent-graph neighbors fill at this lower rate ("less
-  // frequently for the members of different clusters"). They are filled
-  // every round: a child depends on *us* for new maxima, so nobody else
-  // can do this job.
-  for (HostId n : state_.neighbors()) {
-    if (state_.in_cluster(n)) continue;
-    const SeqSet offered = recent_offers(n);
-    const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst, &offered);
-    for (Seq seq : plan) send_gapfill(n, seq);
-  }
-  if (!config_.nonneighbor_gapfill) return;
-
-  // Non-neighbors (the Section 4.4 extension): any up-to-date host can
-  // fill them, so each host serves only a small random subset per round —
-  // see Config::far_fill_targets for why. The lagging ones are listed in
-  // all_hosts order in a scratch buffer sized with the peer records.
-  if (peers_.empty()) build_records();
-  std::size_t behind = 0;
-  for (HostId j : state_.all_hosts()) {
-    if (j == self() || state_.is_child(j) || j == state_.parent()) continue;
-    const SeqSet offered = recent_offers(j);
-    if (!plan_far_gapfill(state_, j, 1, &offered).empty()) {
-      far_behind_[behind++] = j;
-    }
-  }
-  std::size_t budget = std::min(config_.far_fill_targets, behind);
-  while (budget-- > 0 && behind > 0) {
-    const auto pick = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(behind) - 1));
-    const HostId j = far_behind_[pick];
-    // Remove the pick, keeping the rest in order.
-    std::copy(far_behind_.begin() + static_cast<std::ptrdiff_t>(pick) + 1,
-              far_behind_.begin() + static_cast<std::ptrdiff_t>(behind),
-              far_behind_.begin() + static_cast<std::ptrdiff_t>(pick));
-    --behind;
-    const SeqSet offered = recent_offers(j);
-    const auto plan = plan_far_gapfill(state_, j, config_.gapfill_burst,
-                                       &offered);
-    for (Seq seq : plan) send_gapfill(j, seq);
-  }
-}
-
-void BroadcastHost::maintenance_round() {
-  const util::TimePoint now = scheduler_.now();
-
-  // Parent liveness: "time out on a parent that fails to send messages
-  // such as the ones containing its INFO set ... the host sets its parent
-  // pointer to NIL" and immediately looks for a new parent.
-  if (state_.parent().valid() &&
-      now - last_parent_heard_ > config_.parent_timeout) {
-    ++counters_.parent_timeouts;
-    RBCAST_INFO(self() << " parent " << state_.parent() << " timed out");
-    detach_from_parent(/*notify=*/false, /*timeout=*/true);
-    attachment_round();
-  }
-
-  // Child liveness (engineering necessity; see Config::child_timeout).
-  std::vector<HostId> stale;
-  for (HostId child : state_.children()) {
-    if (now - record(child).last_heard > config_.child_timeout) {
-      stale.push_back(child);
-    }
-  }
-  for (HostId child : stale) state_.remove_child(child);
-
-  // Lapsed-offer sweep: keeps the optimistic-offer table bounded even for
-  // peers no planner asks about anymore (e.g. removed children).
-  for (PeerRecord& peer : peers_) {
-    std::erase_if(peer.offered,
-                  [now](const auto& kv) { return kv.second <= now; });
-  }
-
-  // Section 6 pruning: discard state for the prefix every host is known to
-  // have.
-  if (config_.enable_pruning) {
-    const Seq safe = state_.safe_prefix();
-    if (safe > state_.info().prune_watermark()) {
-      state_.prune(safe);
-      // Tags live exactly as long as the bodies they sign.
-      auth_tags_.erase(auth_tags_.begin(), auth_tags_.upper_bound(safe));
-    }
-  }
-}
-
-// --- send helpers -----------------------------------------------------
-
-void BroadcastHost::send_message(HostId to, ProtocolMessage m) {
+void BroadcastHost::send(HostId to, ProtocolMessage m) {
   const std::size_t bytes = wire_size(m);
   const char* kind = kind_of(m);
   // Data messages (first sends, forwards and gap fills alike) carry the
   // causal trace id of their broadcast; control traffic stays untraced.
   net::TraceId trace_id = 0;
   if (const auto* data = std::get_if<DataMsg>(&m)) {
-    trace_id = net::make_trace_id(source_, data->seq);
-    // A piggybacked INFO set freshens the peer like a standalone report;
-    // remember when so info_round_intra() can skip the redundant packet.
-    if (data->piggyback.has_value()) {
-      record(to).last_piggyback = scheduler_.now();
-    }
+    trace_id = net::make_trace_id(protocol_.source(), data->seq);
   }
   endpoint_.send(to, std::any(std::move(m)), bytes, kind, trace_id);
 }
 
-DataMsg BroadcastHost::make_data(Seq seq, const Payload& body,
-                                 bool gap_fill) const {
-  DataMsg m{seq, body, gap_fill, std::nullopt, std::nullopt};
-  if (config_.piggyback_info) {
-    m.piggyback = std::make_pair(state_.info(), state_.parent());
-  }
-  if (config_.auth_enabled) {
-    auto it = auth_tags_.find(seq);
-    if (it != auth_tags_.end()) m.auth = it->second;
-  }
-  return m;
+void BroadcastHost::arm_attach_timeout(HostId candidate) {
+  attach_timer_ = scheduler_.after(
+      protocol_.config().attach_ack_timeout, [this, candidate] {
+        attach_timer_ = util::EventId{};
+        protocol_.on_attach_timeout(scheduler_.now(), candidate, *this);
+      });
 }
 
-void BroadcastHost::send_gapfill(HostId to, Seq seq) {
-  const Payload* body = state_.body_of(seq);
-  RBCAST_ASSERT(body != nullptr);
-  send_message(to, make_data(seq, *body, /*gap_fill=*/true));
-  note_offered(to, seq);
-  ++counters_.gapfills_sent;
-  if (observer_ != nullptr) observer_->on_gapfill_offered(self(), to, seq);
-}
-
-void BroadcastHost::note_offered(HostId to, Seq seq) {
-  record(to).offered[seq] =
-      scheduler_.now() + config_.gapfill_suppress_period;
-}
-
-void BroadcastHost::clear_refuted_offers(HostId from, const SeqSet& reported) {
-  // `reported` is a full INFO snapshot straight from `from`. Any offered
-  // seq it still lacks was lost (or is still in flight — at worst one
-  // spurious re-offer): drop the suppression so the next round re-sends
-  // without waiting for the time-based expiry. This is what keeps the
-  // suppression from delaying genuine loss recovery.
-  std::erase_if(record(from).offered,
-                [&](const auto& kv) { return !reported.contains(kv.first); });
-}
-
-SeqSet BroadcastHost::recent_offers(HostId j) {
-  SeqSet live;
-  const util::TimePoint now = scheduler_.now();
-  auto& per_seq = record(j).offered;
-  for (auto it = per_seq.begin(); it != per_seq.end();) {
-    if (it->second <= now) {
-      it = per_seq.erase(it);  // lapsed: re-offers allowed again
-    } else {
-      live.insert(it->first);
-      ++it;
-    }
-  }
-  return live;
+void BroadcastHost::cancel_attach_timeout() {
+  scheduler_.cancel(attach_timer_);
+  attach_timer_ = util::EventId{};
 }
 
 }  // namespace rbcast::core

@@ -1,31 +1,22 @@
-// BroadcastHost — the complete protocol automaton running on one host.
+// BroadcastHost — one host's protocol, driven by a runtime.
 //
-// Glues the pure pieces (HostState, the attachment procedure, the gap-fill
-// planners) to the simulator (periodic activations, timeouts) and to the
-// network endpoint (the paper's single-destination send + cost-bit
-// delivery). One instance runs per participating host; the instance whose
-// id equals `source` plays the source role (generates the stream, never
-// runs the attachment procedure, is the root of the host parent graph).
-//
-// Delivery semantics offered to the application: every broadcast message is
-// delivered exactly once per host, not necessarily in order — the paper
+// Runs a HostProtocol (host_protocol.h, where every handler is defined) on
+// a scheduler and a network endpoint: the periodic activities with phase
+// jitter, the attach-acknowledgment timer, the paper's single-destination
+// send + cost-bit delivery, and metrics registration. The instance whose
+// id equals `source` plays the source role. Delivery to the application
+// is exactly once per message, not necessarily in order — the paper
 // deliberately relaxes ordering to cut delay (Section 1).
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/attachment.h"
 #include "core/config.h"
-#include "core/host_state.h"
-#include "core/messages.h"
-#include "core/protocol_observer.h"
+#include "core/host_protocol.h"
 #include "net/message.h"
 #include "transport/transport.h"
 #include "util/metrics_registry.h"
@@ -34,15 +25,17 @@
 
 namespace rbcast::core {
 
-class BroadcastHost {
+class BroadcastHost : private HostProtocol::Effects {
  public:
   // Called on first receipt of each data message (unordered delivery).
   // The view aliases the refcounted Payload held in HostState; copy it if
   // it must outlive the callback.
   using AppDeliverFn = std::function<void(Seq, std::string_view body)>;
+  using Counters = HostProtocol::Counters;
 
-  // `endpoint` must outlive this object. `rng` drives only phase jitter of
-  // the periodic tasks (so hosts do not act in lock-step).
+  // `endpoint` must outlive this object. `rng` drives the phase jitter of
+  // the periodic tasks (so hosts do not act in lock-step) and the far
+  // gap-fill target picks.
   BroadcastHost(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
                 HostId source, std::vector<HostId> all_hosts, Config config,
                 util::Rng rng, AppDeliverFn app_deliver = {});
@@ -70,62 +63,46 @@ class BroadcastHost {
 
   // Source API: appends the next message to the broadcast stream.
   // Precondition: is_source().
-  Seq broadcast(std::string body);
+  Seq broadcast(std::string body) {
+    return protocol_.broadcast(scheduler_.now(), std::move(body), *this);
+  }
 
   // --- introspection ------------------------------------------------------
 
-  [[nodiscard]] HostId self() const { return state_.self(); }
-  [[nodiscard]] bool is_source() const { return self() == source_; }
-  [[nodiscard]] const HostState& state() const { return state_; }
-  [[nodiscard]] HostId parent() const { return state_.parent(); }
-  [[nodiscard]] const SeqSet& info() const { return state_.info(); }
-  [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] Seq last_broadcast_seq() const { return next_seq_ - 1; }
-
-  struct Counters {
-    std::uint64_t attach_attempts{0};
-    // Attach attempts keyed by the rule that proposed them ("I.1".."III.1")
-    // — which options actually fire is itself an experimental observable.
-    std::map<std::string, std::uint64_t> attempts_by_rule;
-    std::uint64_t attach_timeouts{0};
-    std::uint64_t attaches_completed{0};
-    std::uint64_t cycles_broken{0};
-    std::uint64_t parent_timeouts{0};
-    std::uint64_t new_max_rejected{0};  // new maximum offered by a non-parent
-    std::uint64_t duplicates_discarded{0};
-    std::uint64_t data_forwarded{0};
-    std::uint64_t gapfills_sent{0};
-    std::uint64_t deliveries{0};  // first receipts handed to the app
-    // Deliveries whose payload failed wire decoding (empty std::any from
-    // the transport): counted and dropped, exactly like any other loss.
-    std::uint64_t decode_errors{0};
-    // Data frames dropped because the per-source authentication tag was
-    // missing or failed verification (Config::auth_enabled, see auth.h).
-    // Rejected frames leave every bit of protocol state untouched — not
-    // even liveness or cluster bookkeeping may trust them.
-    std::uint64_t auth_rejects{0};
-    // Deliveries whose sender is not among all_hosts — only a wiring bug
-    // produces one (UdpTransport already drops unknown source addresses).
-    // Dropped before any bookkeeping, like a decode error.
-    std::uint64_t unknown_sender_drops{0};
-  };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] HostId self() const { return protocol_.self(); }
+  [[nodiscard]] bool is_source() const { return protocol_.is_source(); }
+  [[nodiscard]] const HostState& state() const { return protocol_.state(); }
+  [[nodiscard]] HostId parent() const { return state().parent(); }
+  [[nodiscard]] const SeqSet& info() const { return state().info(); }
+  [[nodiscard]] const Config& config() const { return protocol_.config(); }
+  [[nodiscard]] Seq last_broadcast_seq() const {
+    return protocol_.last_broadcast_seq();
+  }
+  [[nodiscard]] const Counters& counters() const {
+    return protocol_.counters();
+  }
 
   // Forces the attachment procedure to run now (tests).
   void run_attachment_now() { attachment_round(); }
 
   // Forces one gap-fill round now (tests).
-  void run_gapfill_neighbor_now() { gapfill_round_neighbor(); }
-  void run_gapfill_far_now() { gapfill_round_far(); }
+  void run_gapfill_neighbor_now() {
+    protocol_.gapfill_round_neighbor(scheduler_.now(), *this);
+  }
+  void run_gapfill_far_now() {
+    protocol_.gapfill_round_far(scheduler_.now(), *this);
+  }
 
   // Seeds CLUSTER_i (static cluster knowledge mode, or "some information
   // to the contrary" at initialization — Section 4.2). Call before start().
   void seed_cluster(const std::vector<HostId>& cluster) {
-    state_.set_cluster(cluster);
+    protocol_.seed_cluster(cluster);
   }
 
   // Installs a protocol-event observer (nullptr to remove).
-  void set_observer(ProtocolObserver* observer) { observer_ = observer; }
+  void set_observer(ProtocolObserver* observer) {
+    protocol_.set_observer(observer);
+  }
 
   // Registers this host's counters and attachment/watermark gauges into
   // `registry` under the shared host.* names, labelled `labels` (e.g.
@@ -136,112 +113,35 @@ class BroadcastHost {
                         const std::string& labels);
 
  private:
-  // --- message handlers -----------------------------------------------
-  void handle_data(HostId from, const DataMsg& m);
-  void handle_info(HostId from, const InfoMsg& m);
-  void handle_attach_request(HostId from, const AttachRequest& m);
-  void handle_attach_accept(HostId from, const AttachAccept& m);
-  void handle_detach(HostId from);
+  // HostProtocol::Effects: the runtime side of the automaton's effects.
+  void send(HostId to, ProtocolMessage m) override;
+  void deliver(Seq seq, std::string_view body) override {
+    if (app_deliver_) app_deliver_(seq, body);
+  }
+  void arm_attach_timeout(HostId candidate) override;
+  void cancel_attach_timeout() override;
 
-  // --- periodic activities ---------------------------------------------
   void attachment_round();
-  void info_round_intra();
-  void info_round_inter();
-  void gapfill_round_neighbor();
-  void gapfill_round_far();
-  void maintenance_round();  // parent/child timeouts, pruning
-
-  // --- helpers -----------------------------------------------------------
-  void send_message(HostId to, ProtocolMessage m);
-  // Builds a data message (attaching the piggybacked INFO when enabled).
-  [[nodiscard]] DataMsg make_data(Seq seq, const Payload& body,
-                                  bool gap_fill) const;
-  void send_gapfill(HostId to, Seq seq);
-  // Records that `seq` was just offered to `to` (any data send counts);
-  // re-offers are suppressed until the suppress period lapses or the peer
-  // reports an INFO set that still lacks the seq (see clear_refuted_offers).
-  void note_offered(HostId to, Seq seq);
-  // Drops offers toward `from` that its freshly reported INFO refutes.
-  void clear_refuted_offers(HostId from, const SeqSet& reported);
-  // Live (unexpired) offers toward `j`, purging lapsed ones.
-  [[nodiscard]] SeqSet recent_offers(HostId j);
-  void begin_attach(HostId candidate, const std::string& rule);
-  void on_attach_timeout(HostId candidate);
-  void detach_from_parent(bool notify, bool timeout);
-  void accept_message(Seq seq, const Payload& body, bool was_new_max,
-                      HostId from);
-
-  // Per-peer bookkeeping of this host (HostState keeps the paper's state).
-  struct PeerRecord {
-    // Last delivery of any kind from the peer (child liveness).
-    util::TimePoint last_heard{0};
-    // Piggyback suppression (Config::piggyback_info): when a data message
-    // carrying our INFO set last went to the peer. The next intra-cluster
-    // INFO round skips it if that was within the round.
-    std::optional<util::TimePoint> last_piggyback;
-    // The peer is skipped as an attach candidate until this time, after
-    // its handshake timed out.
-    util::TimePoint failed_until{0};
-    // Optimistic offer tracking (duplicate gap-fill suppression): expiry
-    // time of each outstanding offer. Ordered for determinism.
-    std::map<Seq, util::TimePoint> offered;
-  };
-  // The record of j, building the table on first use; nullptr when j is
-  // not among all_hosts.
-  PeerRecord* find_record(HostId j);
-  // As find_record, for a j that must be among all_hosts.
-  PeerRecord& record(HostId j);
-  void build_records();
 
   util::Scheduler& scheduler_;
   net::HostEndpoint& endpoint_;
   // Set only by the Transport-backed constructor; the destructor detaches.
   transport::Transport* transport_{nullptr};
-  HostId source_;
-  Config config_;
-  HostState state_;
-  util::Rng rng_;
+  HostProtocol protocol_;
   AppDeliverFn app_deliver_;
-  ProtocolObserver* observer_{nullptr};
 
-  Seq next_seq_{1};  // source only: next sequence number to assign
-
-  // Attach handshake in flight.
-  HostId pending_attach_{kNoHost};
+  // Timer of the attach handshake in flight (HostProtocol::pending_attach).
   util::EventId attach_timer_{};
-  // Timeouts since the last completed handshake; once past
-  // Config::attach_retry_burst, retries wait for the periodic timer.
-  std::size_t consecutive_attach_timeouts_{0};
-
-  // Liveness bookkeeping.
-  util::TimePoint last_parent_heard_{0};
-
-  // Indexed by host rank (HostState::rank_of) like HostState's table, and
-  // like it empty until first use.
-  std::vector<PeerRecord> peers_;
-  // gapfill_round_far's scratch list of lagging non-neighbors; sized to
-  // all_hosts with peers_.
-  std::vector<HostId> far_behind_;
-
-  // Source tags of accepted messages (Config::auth_enabled): relays
-  // forward the original tag verbatim — they cannot re-sign — so it must
-  // be kept alongside the body. Pruned in lockstep with HostState.
-  std::map<Seq, AuthTag> auth_tags_;
-
-  Counters counters_;
 
   // Metric registration to undo on destruction (register_metrics).
   util::MetricsRegistry* metrics_registry_{nullptr};
   std::string metrics_labels_;
   std::vector<std::string> metrics_names_;
 
-  // Periodic tasks (declared last: they capture `this` and must die first).
-  std::unique_ptr<util::PeriodicTask> attach_task_;
-  std::unique_ptr<util::PeriodicTask> info_intra_task_;
-  std::unique_ptr<util::PeriodicTask> info_inter_task_;
-  std::unique_ptr<util::PeriodicTask> gapfill_neighbor_task_;
-  std::unique_ptr<util::PeriodicTask> gapfill_far_task_;
-  std::unique_ptr<util::PeriodicTask> maintenance_task_;
+  // Periodic tasks: attachment, INFO intra/inter, gap fill neighbor/far,
+  // maintenance — started in this order, which fixes the rng draws.
+  // Declared last: they capture `this` and must die first.
+  std::vector<std::unique_ptr<util::PeriodicTask>> tasks_;
 };
 
 }  // namespace rbcast::core

@@ -1,7 +1,9 @@
 #include "model/checker.h"
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "model/invariants.h"
@@ -9,10 +11,103 @@
 
 namespace rbcast::model {
 
+namespace {
+
+// The checker's side of HostProtocol::Effects for host `self`: sends enter
+// the adversarial network, first receipts are recorded for the invariants,
+// and the attach timer is the explorer's own attach-timeout move, enabled
+// while a handshake is pending.
+struct Sink final : core::HostProtocol::Effects {
+  Sink(SystemState& s, HostId h, std::size_t cap)
+      : state(s), self(h), capacity(cap) {}
+
+  void send(HostId to, ProtocolMessage m) override {
+    ++sent;
+    // Over capacity: the send is lost. Loss at any point is part of the
+    // model, so this prunes no behaviour class.
+    if (state.inflight.size() < capacity) {
+      state.inflight.push_back(ModelMessage{self, to, std::move(m)});
+    }
+  }
+  void deliver(Seq seq, std::string_view body) override {
+    ModelHost& host = state.nodes[static_cast<std::size_t>(self.value)];
+    ++host.deliveries[seq];
+    host.delivered_bodies[seq] = std::string(body);
+  }
+  void arm_attach_timeout(HostId /*candidate*/) override {}
+  void cancel_attach_timeout() override {}
+
+  SystemState& state;
+  HostId self;
+  std::size_t capacity;
+  int sent{0};  // sends attempted, including those lost to the capacity
+};
+
+}  // namespace
+
+std::string ModelMessage::describe() const {
+  std::ostringstream os;
+  os << from << "->" << to << ":" << core::kind_of(payload);
+  if (const auto* data = std::get_if<core::DataMsg>(&payload)) {
+    os << "#" << data->seq << "=" << data->body.view();
+  } else if (const auto* info = std::get_if<core::InfoMsg>(&payload)) {
+    os << info->info.to_string() << "/p=" << info->parent.value;
+  } else if (const auto* req = std::get_if<core::AttachRequest>(&payload)) {
+    os << req->info.to_string();
+  } else if (const auto* acc = std::get_if<core::AttachAccept>(&payload)) {
+    os << acc->info.to_string() << "/p=" << acc->parent.value;
+  }
+  return os.str();
+}
+
+std::string protocol_fingerprint(const core::HostProtocol& p,
+                                 util::TimePoint now) {
+  const core::HostState& s = p.state();
+  const core::Config& c = p.config();
+  std::ostringstream os;
+  // Only whether the count exceeds the retry burst changes behaviour.
+  os << p.self() << "{i=" << s.info().to_string()
+     << ";p=" << s.parent().value << ";pa=" << p.pending_attach().value
+     << ";t="
+     << std::min(p.consecutive_attach_timeouts(), c.attach_retry_burst)
+     << ";ph=" << (now - p.last_parent_heard() <= c.parent_timeout)
+     << ";c=";
+  for (HostId child : s.children()) os << child.value << ',';
+  os << ";cl=";
+  for (HostId member : s.cluster()) os << member.value << ',';
+  os << ";m=";
+  const core::HostProtocol::PeerRecord unwritten;
+  for (HostId h : s.all_hosts()) {
+    if (h == p.self()) continue;
+    const core::HostProtocol::PeerRecord* peer = p.peer(h);
+    const auto& r = peer != nullptr ? *peer : unwritten;
+    os << h.value << '=' << s.map(h).to_string() << '|'
+       << s.parent_of(h).value << '|'
+       << (now - r.last_heard <= c.child_timeout)
+       << (r.failed_until > now)
+       << (r.last_piggyback.has_value() &&
+           now - *r.last_piggyback < c.info_period_intra)
+       << 'o';
+    for (const auto& [seq, expiry] : r.offered) {
+      if (expiry > now) os << seq << '.';
+    }
+    os << ',';
+  }
+  os << '}';
+  return os.str();
+}
+
 std::string SystemState::fingerprint() const {
   std::ostringstream os;
   os << 'b' << broadcasts_done << ';';
-  for (const ModelNode& node : nodes) os << node.fingerprint();
+  for (const ModelHost& node : nodes) {
+    os << protocol_fingerprint(node.protocol, now) << "d=";
+    for (const auto& [seq, count] : node.deliveries) {
+      os << seq << 'x' << count << '=' << node.delivered_bodies.at(seq)
+         << ',';
+    }
+    os << ';';
+  }
   // In-flight messages form a multiset: order-independent canonical form.
   std::vector<std::string> wire;
   wire.reserve(inflight.size());
@@ -28,124 +123,141 @@ Checker::Checker(ModelConfig config) : config_(std::move(config)) {
       config_.cluster_of.size() == static_cast<std::size_t>(config_.hosts),
       "cluster_of must cover every host");
   RBCAST_CHECK_ARG(config_.source.value < config_.hosts, "bad source");
+  protocol_config_.auth_enabled = config_.forge == ModelConfig::Forge::kAuth;
+  const core::Config& c = protocol_config_;
+  tick_ = std::max({4 * c.attach_period, c.info_period_intra,
+                    c.gapfill_suppress_period, c.parent_timeout,
+                    c.child_timeout}) +
+          util::seconds(1);
 }
 
 SystemState Checker::initial_state() const {
+  std::vector<HostId> hosts;
+  for (int i = 0; i < config_.hosts; ++i) hosts.push_back(HostId{i});
   SystemState state;
-  for (int i = 0; i < config_.hosts; ++i) {
-    state.nodes.emplace_back(HostId{i}, config_);
+  for (HostId h : hosts) {
+    state.nodes.push_back(
+        {core::HostProtocol(h, config_.source, hosts, protocol_config_,
+                            util::Rng(static_cast<std::uint64_t>(h.value))),
+         {}, {}});
   }
   return state;
-}
-
-void Checker::enqueue_sends(SystemState& state,
-                            std::vector<ModelMessage> messages) const {
-  for (ModelMessage& m : messages) {
-    if (state.inflight.size() >= config_.max_inflight) {
-      // Over capacity: the send is lost. Loss at any point is part of the
-      // model, so this prunes no behaviour class.
-      continue;
-    }
-    state.inflight.push_back(std::move(m));
-  }
 }
 
 std::vector<std::pair<std::string, SystemState>> Checker::successors(
     const SystemState& state) const {
   std::vector<std::pair<std::string, SystemState>> out;
 
-  auto node_of = [](SystemState& s, HostId h) -> ModelNode& {
-    return s.nodes[static_cast<std::size_t>(h.value)];
-  };
-
-  // 1. Source generates the next message.
-  if (state.broadcasts_done < config_.max_broadcasts) {
+  // Runs `step` as host h on a copy of `state`. A move that must send to
+  // matter is dropped when it sent nothing.
+  auto move = [&](std::string description, HostId h, bool needs_send,
+                  const auto& step) {
     SystemState next = state;
-    const Seq seq = static_cast<Seq>(next.broadcasts_done) + 1;
-    const std::string body = "m" + std::to_string(seq);
-    next.bodies.push_back(body);
-    ++next.broadcasts_done;
-    enqueue_sends(next, node_of(next, config_.source).broadcast(seq, body));
-    out.emplace_back("broadcast#" + std::to_string(seq), std::move(next));
+    Sink fx(next, h, config_.max_inflight);
+    step(next.nodes[static_cast<std::size_t>(h.value)].protocol, fx, next);
+    if (needs_send && fx.sent == 0) return;
+    out.emplace_back(std::move(description), std::move(next));
+  };
+  auto name = [](HostId h) { return "h" + std::to_string(h.value); };
+
+  if (state.broadcasts_done < config_.max_broadcasts) {
+    const std::string body = "m" + std::to_string(state.broadcasts_done + 1);
+    move("broadcast#" + std::to_string(state.broadcasts_done + 1),
+         config_.source, false,
+         [&](core::HostProtocol& p, Sink& fx, SystemState& next) {
+           next.bodies.push_back(body);
+           ++next.broadcasts_done;
+           p.broadcast(next.now, body, fx);
+         });
   }
 
-  // 2-4. Network adversary: deliver / drop / duplicate each message.
   for (std::size_t i = 0; i < state.inflight.size(); ++i) {
     const ModelMessage& m = state.inflight[i];
+    const auto at = static_cast<std::ptrdiff_t>(i);
+    move("deliver " + m.describe(), m.to, false,
+         [&](core::HostProtocol& p, Sink& fx, SystemState& next) {
+           net::Delivery delivery;
+           delivery.from = m.from;
+           delivery.to = m.to;
+           delivery.expensive = !config_.same_cluster(m.from, m.to);
+           delivery.payload = m.payload;
+           next.inflight.erase(next.inflight.begin() + at);
+           p.on_delivery(next.now, delivery, fx);
+         });
     {
       SystemState next = state;
-      ModelMessage moving = next.inflight[i];
-      next.inflight.erase(next.inflight.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      const bool expensive = !config_.same_cluster(moving.from, moving.to);
-      auto sends = node_of(next, moving.to)
-                       .on_message(moving.from, moving.payload, expensive,
-                                   config_);
-      enqueue_sends(next, std::move(sends));
-      out.emplace_back("deliver " + m.describe(), std::move(next));
-    }
-    {
-      SystemState next = state;
-      next.inflight.erase(next.inflight.begin() +
-                          static_cast<std::ptrdiff_t>(i));
+      next.inflight.erase(next.inflight.begin() + at);
       out.emplace_back("drop " + m.describe(), std::move(next));
     }
     if (state.inflight.size() < config_.max_inflight) {
       SystemState next = state;
-      next.inflight.push_back(next.inflight[i]);
+      next.inflight.push_back(m);
       out.emplace_back("duplicate " + m.describe(), std::move(next));
     }
   }
 
-  // 5-9. Host steps.
-  for (const ModelNode& node : state.nodes) {
-    const HostId h = node.self();
-    if (h != config_.source && !node.pending_attach().valid()) {
-      SystemState next = state;
-      auto sends = node_of(next, h).attachment_step(config_);
-      if (!sends.empty()) {
-        enqueue_sends(next, std::move(sends));
-        std::ostringstream os;
-        os << h << " attach-step";
-        out.emplace_back(os.str(), std::move(next));
+  // Forged DATA carries the source's genuine tag for the seq when signing
+  // is on: a replayed signature on the wrong body.
+  if (config_.forge != ModelConfig::Forge::kNone &&
+      state.inflight.size() < config_.max_inflight) {
+    for (int q = 1; q <= state.broadcasts_done; ++q) {
+      const auto seq = static_cast<Seq>(q);
+      core::DataMsg forged{seq, core::Payload("forged"), false, std::nullopt,
+                           std::nullopt};
+      if (protocol_config_.auth_enabled) {
+        forged.auth = core::make_auth_tag(
+            protocol_config_.auth_secret, config_.source, seq,
+            state.bodies[static_cast<std::size_t>(q - 1)]);
       }
-    }
-    for (const ModelNode& peer : state.nodes) {
-      const HostId j = peer.self();
-      if (j == h) continue;
-      {
-        SystemState next = state;
-        enqueue_sends(next, node_of(next, h).info_step(j));
-        std::ostringstream os;
-        os << h << " info-> " << j;
-        out.emplace_back(os.str(), std::move(next));
-      }
-      {
-        SystemState next = state;
-        auto sends = node_of(next, h).gapfill_step(j, config_);
-        if (!sends.empty()) {
-          enqueue_sends(next, std::move(sends));
-          std::ostringstream os;
-          os << h << " gapfill-> " << j;
-          out.emplace_back(os.str(), std::move(next));
+      for (const ModelHost& from : state.nodes) {
+        for (const ModelHost& to : state.nodes) {
+          if (&from == &to) continue;
+          SystemState next = state;
+          next.inflight.push_back(
+              ModelMessage{from.protocol.self(), to.protocol.self(), forged});
+          out.emplace_back("forge " + next.inflight.back().describe(),
+                           std::move(next));
         }
       }
     }
-    if (node.state().parent().valid()) {
-      SystemState next = state;
-      node_of(next, h).parent_timeout_step();
-      std::ostringstream os;
-      os << h << " parent-timeout";
-      out.emplace_back(os.str(), std::move(next));
+  }
+
+  for (const ModelHost& node : state.nodes) {
+    const HostId h = node.protocol.self();
+    move(name(h) + " attach-step", h, true,
+         [](core::HostProtocol& p, Sink& fx, SystemState& next) {
+           p.attachment_round(next.now, fx);
+         });
+    for (const ModelHost& peer : state.nodes) {
+      const HostId j = peer.protocol.self();
+      if (j == h) continue;
+      move(name(h) + " info-> " + name(j), h, true,
+           [j](core::HostProtocol& p, Sink& fx, SystemState& next) {
+             p.send_info(next.now, j, fx);
+           });
+      move(name(h) + " gapfill-> " + name(j), h, true,
+           [j](core::HostProtocol& p, Sink& fx, SystemState& next) {
+             p.gapfill_to(next.now, j, fx);
+           });
     }
-    if (node.pending_attach().valid()) {
-      SystemState next = state;
-      node_of(next, h).give_up_attach_step();
-      std::ostringstream os;
-      os << h << " attach-timeout";
-      out.emplace_back(os.str(), std::move(next));
+    if (node.protocol.state().parent().valid()) {
+      move(name(h) + " parent-timeout", h, false,
+           [](core::HostProtocol& p, Sink& fx, SystemState& next) {
+             p.parent_timeout(next.now, fx);
+           });
+    }
+    if (const HostId candidate = node.protocol.pending_attach();
+        candidate.valid()) {
+      move(name(h) + " attach-timeout", h, false,
+           [candidate](core::HostProtocol& p, Sink& fx, SystemState& next) {
+             p.on_attach_timeout(next.now, candidate, fx);
+           });
     }
   }
+
+  SystemState next = state;
+  next.now += tick_;
+  out.emplace_back("tick", std::move(next));
   return out;
 }
 
@@ -162,20 +274,19 @@ void Checker::check_invariants(const SystemState& state,
 
   // The predicates themselves are shared with the runtime monitor
   // (src/harness/invariant_monitor.*); see src/model/invariants.h.
-  for (const ModelNode& node : state.nodes) {
-    report(inv::kExactlyOnce,
-           inv::check_exactly_once(node.self(), node.deliveries()));
+  for (const ModelHost& node : state.nodes) {
+    const HostId self = node.protocol.self();
+    const core::HostState& s = node.protocol.state();
+    report(inv::kExactlyOnce, inv::check_exactly_once(self, node.deliveries));
     report(inv::kIntegrity,
-           inv::check_integrity(node.self(), node.delivered_bodies(),
-                                state.bodies));
+           inv::check_integrity(self, node.delivered_bodies, state.bodies));
     report(inv::kNoInvention,
-           inv::check_no_invention(node.self(), node.state().info().max_seq(),
+           inv::check_no_invention(self, s.info().max_seq(),
                                    static_cast<Seq>(state.broadcasts_done)));
     report(inv::kInfoConsistency,
-           inv::check_info_consistency(node.self(), node.deliveries().size(),
-                                       node.state().info().count()));
-    report(inv::kSaneParent,
-           inv::check_sane_parent(node.self(), node.state().parent()));
+           inv::check_info_consistency(self, node.deliveries.size(),
+                                       s.info().count()));
+    report(inv::kSaneParent, inv::check_sane_parent(self, s.parent()));
   }
 }
 
@@ -233,8 +344,8 @@ Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
 
   auto complete = [&](const SystemState& state) {
     if (state.broadcasts_done < config_.max_broadcasts) return false;
-    for (const ModelNode& node : state.nodes) {
-      if (node.deliveries().size() !=
+    for (const ModelHost& node : state.nodes) {
+      if (node.deliveries.size() !=
           static_cast<std::size_t>(config_.max_broadcasts)) {
         return false;
       }
@@ -263,7 +374,8 @@ Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
       weights.reserve(options.size());
       for (const auto& [description, next] : options) {
         const bool adversarial = description.rfind("drop ", 0) == 0 ||
-                                 description.rfind("duplicate ", 0) == 0;
+                                 description.rfind("duplicate ", 0) == 0 ||
+                                 description.rfind("forge ", 0) == 0;
         const bool delivery = description.rfind("deliver ", 0) == 0;
         weights.push_back(adversarial ? 0 : (delivery ? 16 : 4));
         total += weights.back();

@@ -1,16 +1,18 @@
-// Exhaustive and randomized exploration of the protocol model.
+// Bounded exploration of the shipping protocol automaton.
 //
-// The adversarial network is a bounded multiset of in-flight messages; the
-// explorer may, at any state:
-//   * deliver any in-flight message (arbitrary delay / reordering),
-//   * drop any in-flight message (silent loss),
-//   * duplicate any in-flight message,
-//   * fire any host's attachment / INFO / gap-fill step toward any peer,
-//   * expire any host's parent (timeout) or pending attach (ack timeout),
-//   * let the source generate the next broadcast.
-// This transition set strictly contains every schedule the discrete-event
-// simulator can produce, so an invariant proven here over a bounded
-// configuration holds for every such simulation of that configuration.
+// The paper's companion technical report [Garc87] gives a formal
+// specification of the algorithm; this module checks the code that ships
+// against its safety properties. Every model host is a copy of
+// core::HostProtocol — the automaton BroadcastHost runs — and each
+// transition is one of its entry points or an adversary move. At any
+// state the explorer may deliver (through on_delivery), drop or duplicate
+// any in-flight message; run any host's attachment_round, or its
+// send_info / gapfill_to toward any peer; time out any host's parent or
+// pending attach; let the source broadcast; tick the model clock past
+// every period and timeout (lapsing offers and exclusions); and, with
+// ModelConfig::forge, inject DATA with a wrong body. The cost bit derives
+// from a static cluster map. Maintenance is not a transition (only its
+// parent-timeout branch is), so nothing is pruned and no child times out.
 //
 // Safety invariants checked in every reachable state:
 //   I1 exactly-once — no application delivers any message twice;
@@ -23,21 +25,80 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "model/model_node.h"
+#include "core/host_protocol.h"
 #include "util/rng.h"
 
 namespace rbcast::model {
 
+using core::ProtocolMessage;
+using core::Seq;
+
+struct ModelConfig {
+  int hosts{3};
+  // cluster_of[h] = ground-truth cluster index of host h.
+  std::vector<int> cluster_of{0, 0, 0};
+  HostId source{0};
+  // The source may generate up to this many messages.
+  int max_broadcasts{2};
+  // In-flight message capacity; sends beyond it are lost (loss is legal
+  // in the model, so capacity pruning never hides behaviours, it only
+  // bounds the state space). Forged messages count against it too.
+  std::size_t max_inflight{4};
+
+  // The forged-DATA adversary: a move that injects, from any host to any
+  // other, a DATA message carrying a wrong body for an already issued
+  // seq. kNoAuth runs the hosts with Config::auth_enabled off (the paper's
+  // trusting relays: integrity, I2, falls); kAuth turns it on and lets the
+  // forgery carry the source's genuine tag for that seq, replayed onto
+  // the wrong body.
+  enum class Forge { kNone, kNoAuth, kAuth };
+  Forge forge{Forge::kNone};
+
+  [[nodiscard]] bool same_cluster(HostId a, HostId b) const {
+    return cluster_of[static_cast<std::size_t>(a.value)] ==
+           cluster_of[static_cast<std::size_t>(b.value)];
+  }
+};
+
+// A message in the adversarial network.
+struct ModelMessage {
+  HostId from;
+  HostId to;
+  ProtocolMessage payload;
+
+  [[nodiscard]] std::string describe() const;
+};
+
+// Canonical serialization of an automaton for state deduplication. Every
+// time-stamped field is recorded relative to `now` — live or lapsed — so
+// clock ticks do not grow the state space. Counters are observations and
+// stay out.
+[[nodiscard]] std::string protocol_fingerprint(const core::HostProtocol& p,
+                                               util::TimePoint now);
+
+// One model host: the shipping automaton plus what its application saw,
+// filled by the checker's deliver effect.
+struct ModelHost {
+  core::HostProtocol protocol;
+  // Application deliveries per sequence number (exactly-once is
+  // count <= 1 for every seq) and the body each delivery carried.
+  std::map<Seq, int> deliveries;
+  std::map<Seq, std::string> delivered_bodies;
+};
+
 // Complete system state; value type (the explorer clones it freely).
 struct SystemState {
-  std::vector<ModelNode> nodes;
+  std::vector<ModelHost> nodes;
   std::vector<ModelMessage> inflight;
   int broadcasts_done{0};
   // body of message q is bodies[q-1]
   std::vector<std::string> bodies;
+  // The model clock; moves only on a tick.
+  util::TimePoint now{0};
 
   [[nodiscard]] std::string fingerprint() const;
 };
@@ -99,10 +160,13 @@ class Checker {
                         std::vector<Violation>& violations) const;
 
  private:
-  void enqueue_sends(SystemState& state,
-                     std::vector<ModelMessage> messages) const;
-
   ModelConfig config_;
+  // What every model host runs: Config{}, plus auth_enabled under
+  // ModelConfig::Forge::kAuth.
+  core::Config protocol_config_;
+  // One clock tick: longer than every period and timeout of
+  // protocol_config_ the handlers compare against.
+  util::Duration tick_{0};
 };
 
 }  // namespace rbcast::model

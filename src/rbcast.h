@@ -22,6 +22,7 @@
 #include "core/config.h"
 #include "core/gap_filling.h"
 #include "core/gossip_protocol.h"
+#include "core/host_protocol.h"
 #include "core/host_state.h"
 #include "core/messages.h"
 #include "core/multi_source.h"
@@ -32,7 +33,6 @@
 #include "harness/workload.h"
 #include "model/checker.h"
 #include "model/invariants.h"
-#include "model/model_node.h"
 #include "net/fault_plan.h"
 #include "net/link.h"
 #include "net/message.h"

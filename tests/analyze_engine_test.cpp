@@ -296,12 +296,12 @@ TEST(AllocPass, FlagsGrowingContainerInHotFunction) {
 }
 
 TEST(AllocPass, FlagsNewAndMakeUniqueViaWildcards) {
-  // Simulator::step is listed exactly; BroadcastHost::on_* by prefix.
+  // Simulator::step is listed exactly; HostProtocol::on_* by prefix.
   const auto r = run({{"src/sim/simulator.cpp",
                        "void Simulator::step() {\n"
                        "  auto* e = new Event();\n"
                        "}\n"
-                       "void BroadcastHost::on_message(Msg m) {\n"
+                       "void HostProtocol::on_message(Msg m) {\n"
                        "  auto p = std::make_unique<Msg>(m);\n"
                        "}\n"}});
   EXPECT_EQ(2u, count_rule(r.findings, "hot-alloc"));
@@ -409,21 +409,36 @@ TEST(AllocPass, PeerTableAccessorsAndPeriodicRoundsAreHot) {
                          "const {\n"
                          "  ids.push_back(j);\n"
                          "}\n"},
-                        {"src/core/broadcast_host.cpp",
-                         "void BroadcastHost::info_round_intra() {\n"
+                        {"src/core/host_protocol.cpp",
+                         "void HostProtocol::info_round_intra() {\n"
                          "  recipients.insert(self());\n"
                          "}\n"
-                         "void BroadcastHost::gapfill_round_far() {\n"
+                         "void HostProtocol::gapfill_round_far() {\n"
                          "  behind.push_back(self());\n"
+                         "}\n"
+                         "void HostProtocol::send_info(HostId j) {\n"
+                         "  reports.push_back(j);\n"
+                         "}\n"
+                         "void HostProtocol::gapfill_to(HostId j) {\n"
+                         "  plans.emplace_back(j);\n"
+                         "}\n"},
+                        {"src/core/broadcast_host.cpp",
+                         "void BroadcastHost::on_delivery(Delivery d) {\n"
+                         "  inbox_.push_back(d);\n"
+                         "}\n"
+                         "void BroadcastHost::info_round_intra() {\n"
+                         "  recipients.insert(self());\n"
                          "}\n"}});
-  EXPECT_EQ(5u, count_rule(hot.findings, "hot-alloc"));
+  // Every listed HostProtocol round and BroadcastHost::on_delivery are
+  // hot; BroadcastHost keeps no rounds, so its info_round_intra is cold.
+  EXPECT_EQ(8u, count_rule(hot.findings, "hot-alloc"));
 
   const auto cold = run({{"src/core/host_state.cpp",
                           "void HostState::build_table() {\n"
                           "  peers_.resize(64);\n"
                           "}\n"},
-                         {"src/core/broadcast_host.cpp",
-                          "void BroadcastHost::build_records() {\n"
+                         {"src/core/host_protocol.cpp",
+                          "void HostProtocol::build_records() {\n"
                           "  far_behind_.resize(64);\n"
                           "}\n"}});
   EXPECT_FALSE(fires(cold.findings, "hot-alloc"));

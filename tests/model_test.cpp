@@ -1,6 +1,6 @@
-// Tests for the formal-model layer: the model itself, the checker, the
-// checker's ability to catch injected bugs, and bounded verification runs
-// of the real protocol rules.
+// Tests for the formal-model layer: the checker's mechanics, the copy
+// semantics of the automaton it explores, its ability to catch a forged
+// relay, and bounded verification runs of the shipping protocol handlers.
 #include "model/checker.h"
 
 #include <gtest/gtest.h>
@@ -43,9 +43,9 @@ TEST(Model, InitialStateMatchesPaperInitialConditions) {
   const SystemState init = checker.initial_state();
   ASSERT_EQ(init.nodes.size(), 2u);
   for (const auto& node : init.nodes) {
-    EXPECT_TRUE(node.state().info().empty());
-    EXPECT_FALSE(node.state().parent().valid());
-    EXPECT_EQ(node.state().cluster().size(), 1u);  // {self}
+    EXPECT_TRUE(node.protocol.state().info().empty());
+    EXPECT_FALSE(node.protocol.state().parent().valid());
+    EXPECT_EQ(node.protocol.state().cluster().size(), 1u);  // {self}
   }
   EXPECT_TRUE(init.inflight.empty());
 }
@@ -60,7 +60,7 @@ TEST(Model, BroadcastTransitionGeneratesMessage) {
     if (description == "broadcast#1") {
       found_broadcast = true;
       EXPECT_EQ(state.broadcasts_done, 1);
-      EXPECT_EQ(state.nodes[0].state().info().max_seq(), 1u);
+      EXPECT_EQ(state.nodes[0].protocol.state().info().max_seq(), 1u);
       // No children yet: nothing in flight from the broadcast itself.
     }
   }
@@ -148,33 +148,140 @@ TEST(Model, FairWalksCompleteInSingleClusterToo) {
   EXPECT_GE(report.completed, 50);
 }
 
-// --- checker self-tests (mutation testing) ------------------------------
+// --- the forged-DATA adversary -------------------------------------------
 
-TEST(Model, CheckerCatchesDoubleDeliveryMutant) {
+TEST(Model, ForgedDataWithoutAuthBreaksIntegrity) {
+  // The paper's relays are trusted: a relay that rewrites a body is
+  // believed, and the checker must find the resulting I2 violation.
   ModelConfig config = two_hosts();
-  config.mutant_double_delivery = true;
+  config.forge = ModelConfig::Forge::kNoAuth;
   Checker checker(config);
   const auto report =
       checker.explore_random(/*walks=*/500, /*steps=*/100, /*seed=*/5);
   ASSERT_FALSE(report.clean())
-      << "the checker failed to catch an injected exactly-once bug";
-  EXPECT_EQ(report.violations[0].invariant, "I1");
+      << "the checker failed to catch a forged relay";
+  EXPECT_EQ(report.violations[0].invariant, "I2");
   // A violation carries a reproducible trace.
   EXPECT_FALSE(report.violations[0].trace.empty());
 }
 
-TEST(Model, AcceptFromAnyoneMutantIsStillSafe) {
-  // Documenting a real insight: the acceptance rule (new maxima only from
-  // the parent) is *not* needed for safety — dropping it keeps
-  // exactly-once and integrity intact. The paper needs it for the
-  // structural/liveness argument (cycle handling, Section 4.3), not for
-  // safety.
+TEST(Model, SignedDataResistsForgeryOnTheTriangle) {
+  // One broadcast keeps the space small enough to reach depth 8, where an
+  // unsigned forgery first gets accepted (the forged seq must arrive as a
+  // new maximum from an attached parent). With source tags on, the same
+  // forgery — carrying the seq's genuine tag on the wrong body — is
+  // rejected on arrival in every explored state.
   ModelConfig config = three_hosts_triangle();
-  config.mutant_accept_from_anyone = true;
-  Checker checker(config);
-  const auto report = checker.explore_bfs(/*max_depth=*/5,
-                                          /*max_states=*/150000);
-  EXPECT_TRUE(report.clean());
+  config.max_broadcasts = 1;
+  config.forge = ModelConfig::Forge::kNoAuth;
+  const auto unsigned_run = Checker(config).explore_bfs(8, 150000);
+  ASSERT_FALSE(unsigned_run.clean());
+  EXPECT_EQ(unsigned_run.violations[0].invariant, "I2");
+
+  config.forge = ModelConfig::Forge::kAuth;
+  const auto report = Checker(config).explore_bfs(8, 150000);
+  EXPECT_TRUE(report.clean()) << report.violations[0].invariant << ": "
+                              << report.violations[0].description;
+  EXPECT_GT(report.states_explored, 20000u);
+}
+
+// --- copy semantics of the automaton ---------------------------------------
+
+// Records first receipts and drops sends and timers: enough to drive one
+// automaton by hand.
+struct Recorder final : core::HostProtocol::Effects {
+  void send(HostId, core::ProtocolMessage) override {}
+  void deliver(Seq seq, std::string_view) override { delivered.push_back(seq); }
+  void arm_attach_timeout(HostId) override {}
+  void cancel_attach_timeout() override {}
+  std::vector<Seq> delivered;
+};
+
+net::Delivery delivery(HostId from, core::ProtocolMessage m) {
+  net::Delivery d;
+  d.from = from;
+  d.to = HostId{1};
+  d.expensive = true;
+  d.payload = std::move(m);
+  return d;
+}
+
+core::DataMsg signed_data(const core::Config& config, Seq seq,
+                          const std::string& body) {
+  return core::DataMsg{seq, body, false, std::nullopt,
+                       core::make_auth_tag(config.auth_secret, HostId{0}, seq,
+                                           body)};
+}
+
+TEST(Model, CopiedAutomataEvolveIndependently) {
+  core::Config config;
+  config.auth_enabled = true;
+  const std::vector<HostId> hosts{HostId{0}, HostId{1}, HostId{2}};
+  core::HostProtocol a(HostId{1}, HostId{0}, hosts, config, util::Rng(1));
+  Recorder fx;
+  const util::TimePoint now = 0;
+  util::SeqSet up_to_one;
+  up_to_one.insert(1);
+  util::SeqSet up_to_three = up_to_one;
+  up_to_three.insert(2);
+  up_to_three.insert(3);
+
+  // Mid-stream: attached to the source, one signed message accepted and
+  // offered on to a child, then the parent lost and the re-attach
+  // handshake timed out.
+  a.on_delivery(now, delivery(HostId{0}, core::InfoMsg{up_to_one, kNoHost}),
+                fx);
+  a.attachment_round(now, fx);
+  ASSERT_EQ(a.pending_attach(), HostId{0});
+  a.on_delivery(now, delivery(HostId{0}, core::AttachAccept{{}, kNoHost}),
+                fx);
+  ASSERT_EQ(a.state().parent(), HostId{0});
+  a.on_delivery(now, delivery(HostId{2}, core::InfoMsg{{}, HostId{1}}), fx);
+  ASSERT_TRUE(a.state().is_child(HostId{2}));
+  a.on_delivery(now, delivery(HostId{0}, signed_data(config, 2, "m2")), fx);
+  ASSERT_EQ(fx.delivered, std::vector<Seq>{2});
+  ASSERT_EQ(a.peer(HostId{2})->offered.size(), 1u);
+  a.on_delivery(now,
+                delivery(HostId{0}, core::InfoMsg{up_to_three, kNoHost}), fx);
+  a.parent_timeout(now, fx);
+  ASSERT_EQ(a.pending_attach(), HostId{0});
+  a.on_attach_timeout(now, HostId{0}, fx);
+  ASSERT_GT(a.peer(HostId{0})->failed_until, now);
+
+  core::HostProtocol b = a;
+  EXPECT_EQ(model::protocol_fingerprint(a, now),
+            model::protocol_fingerprint(b, now));
+
+  // The same delivery keeps the copies in step.
+  const net::Delivery same =
+      delivery(HostId{0}, core::InfoMsg{up_to_three, kNoHost});
+  a.on_delivery(now, same, fx);
+  b.on_delivery(now, same, fx);
+  const std::string before = model::protocol_fingerprint(a, now);
+  EXPECT_EQ(before, model::protocol_fingerprint(b, now));
+  const auto offered = a.peer(HostId{2})->offered;
+  const auto failed_until = a.peer(HostId{0})->failed_until;
+  const auto tags = a.auth_tags();
+
+  // Different deliveries to one copy leave the other untouched: an INFO
+  // report refutes b's offer, and a gap fill adds a body and a tag.
+  b.on_delivery(now, delivery(HostId{2}, core::InfoMsg{{}, HostId{1}}), fx);
+  b.on_delivery(now, delivery(HostId{2}, signed_data(config, 1, "m1")), fx);
+  ASSERT_EQ(fx.delivered, (std::vector<Seq>{2, 1}));
+  EXPECT_TRUE(b.peer(HostId{2})->offered.empty());
+  EXPECT_NE(model::protocol_fingerprint(b, now), before);
+  EXPECT_EQ(model::protocol_fingerprint(a, now), before);
+  EXPECT_EQ(a.peer(HostId{2})->offered, offered);
+  EXPECT_EQ(a.peer(HostId{0})->failed_until, failed_until);
+  EXPECT_EQ(a.auth_tags(), tags);
+  EXPECT_EQ(b.auth_tags().size(), 2u);
+  EXPECT_EQ(a.state().body_of(1), nullptr);
+  ASSERT_NE(b.state().body_of(1), nullptr);
+  // Both still read the one shared, unchanged buffer of message 2.
+  ASSERT_NE(a.state().body_of(2), nullptr);
+  EXPECT_EQ(a.state().body_of(2)->view(), "m2");
+  EXPECT_EQ(a.state().body_of(2)->view().data(),
+            b.state().body_of(2)->view().data());
 }
 
 TEST(Model, RejectsBadConfiguration) {

@@ -459,12 +459,15 @@ HotSpec default_hot_spec() {
       {"EventQueue", "*"},
       {"Simulator", "step"},
       {"Simulator", "run_until"},
-      {"BroadcastHost", "on_*"},
-      {"BroadcastHost", "handle_*"},
-      // The periodic rounds walk every peer; their per-peer checks read the
-      // dense tables below instead of building sets.
-      {"BroadcastHost", "info_round_*"},
-      {"BroadcastHost", "gapfill_round_*"},
+      {"BroadcastHost", "on_delivery"},
+      {"HostProtocol", "on_*"},
+      {"HostProtocol", "handle_*"},
+      // The periodic rounds and their per-peer bodies walk every peer; they
+      // read the dense tables below instead of building sets.
+      {"HostProtocol", "info_round_*"},
+      {"HostProtocol", "gapfill_round_*"},
+      {"HostProtocol", "send_info"},
+      {"HostProtocol", "gapfill_to"},
       // HostState's per-peer table: one rank lookup and one indexed access
       // per call. The table is sized in the cold HostState::build_table on
       // first write.

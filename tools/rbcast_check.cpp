@@ -1,15 +1,17 @@
 // rbcast_check — bounded model checking of the protocol rules.
 //
-// Explores the protocol model (src/model) under an adversarial network —
-// every delivery order, loss and duplication at any point — and verifies
-// the safety invariants (exactly-once, integrity, no invention, INFO
-// consistency) in every reachable state.
+// Explores copies of the shipping protocol automaton (core::HostProtocol,
+// driven by src/model) under an adversarial network — every delivery
+// order, loss and duplication at any point, optionally forged DATA — and
+// verifies the safety invariants (exactly-once, integrity, no invention,
+// INFO consistency, sane parents) in every reachable state.
 //
 // Examples:
 //   rbcast_check                               # default: 3 hosts, BFS
 //   rbcast_check --hosts 2 --depth 16          # deeper, smaller system
 //   rbcast_check --clusters 0,0,1 --walks 5000 # random-walk mode
-//   rbcast_check --mutant double-delivery      # watch the checker catch it
+//   rbcast_check --forge noauth --walks 500    # forged relays break I2
+//   rbcast_check --forge auth --broadcasts 1 --depth 8  # ... unless signed
 //   rbcast_check --determinism-check           # replay gate (see below)
 #include <cstdlib>
 #include <iomanip>
@@ -97,7 +99,7 @@ void usage() {
       "  --clusters LIST   comma-separated cluster index per host\n"
       "                    (default: every host its own cluster)\n"
       "  --broadcasts N    messages the source may generate (default 2)\n"
-      "  --inflight N      adversarial network capacity (default 3)\n"
+      "  --inflight N      adversarial network capacity (default 4)\n"
       "  --depth N         BFS depth bound (default 7)\n"
       "  --max-states N    BFS state bound (default 2000000)\n"
       "  --walks N         use random walks instead of BFS\n"
@@ -105,7 +107,8 @@ void usage() {
       "                    full dissemination\n"
       "  --steps N         steps per walk (default 150)\n"
       "  --seed N          random-walk seed (default 1)\n"
-      "  --mutant M        inject a bug: double-delivery | accept-anyone\n"
+      "  --forge MODE      forged-DATA adversary: none | noauth | auth\n"
+      "                    (auth: hosts verify source tags; default none)\n"
       "  --determinism-check  run each built-in topology twice on the same\n"
       "                    seed and require identical event-log digests\n"
       "  --batch           with --determinism-check: enable transport\n"
@@ -132,7 +135,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << arg << " needs a value\n";
+      std::exit(2);
     };
     if (arg == "--help" || arg == "-h") {
       usage();
@@ -167,14 +172,16 @@ int main(int argc, char** argv) {
       determinism_check = true;
     } else if (arg == "--batch") {
       batch = true;
-    } else if (arg == "--mutant") {
-      const std::string m = value();
-      if (m == "double-delivery") {
-        config.mutant_double_delivery = true;
-      } else if (m == "accept-anyone") {
-        config.mutant_accept_from_anyone = true;
+    } else if (arg == "--forge") {
+      const std::string mode = value();
+      if (mode == "none") {
+        config.forge = model::ModelConfig::Forge::kNone;
+      } else if (mode == "noauth") {
+        config.forge = model::ModelConfig::Forge::kNoAuth;
+      } else if (mode == "auth") {
+        config.forge = model::ModelConfig::Forge::kAuth;
       } else {
-        std::cerr << "unknown mutant: " << m << "\n";
+        std::cerr << "unknown forge mode: " << mode << "\n";
         return 2;
       }
     } else {
