@@ -1,7 +1,7 @@
 // E12 — micro-benchmarks of the substrates (google-benchmark).
 //
 // Not a paper experiment: these quantify the cost of the building blocks
-// (INFO-set operations, event queue, one network hop and its metrics
+// (INFO-set operations, timer queue, one network hop and its metrics
 // observer, routing recompute, full simulation throughput) so that
 // scenario wall-times are explainable.
 //
@@ -210,11 +210,11 @@ void BM_SeqSetContains(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqSetContains);
 
-// --- event queue ---------------------------------------------------------
+// --- timer queue ---------------------------------------------------------
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+void BM_TimerQueueScheduleAndPop(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EventQueue q;
+    util::TimerQueue q;
     for (int i = 0; i < state.range(0); ++i) {
       q.schedule((i * 7919) % 100000, [] {});
     }
@@ -222,18 +222,17 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_TimerQueueScheduleAndPop)->Arg(1000)->Arg(10000);
 
 // Timer churn: the protocol's dominant queue workload is arm/disarm of
-// liveness and attach timers that almost never fire. A lazy-deletion heap
-// with no compaction grows without bound here; the benchmark holds a small
-// live set while cycling many cancelled tombstones through the queue.
-void BM_EventQueueChurn(benchmark::State& state) {
+// liveness and attach timers that almost never fire. The benchmark holds a
+// small live set while cycling many cancelled timers through the queue.
+void BM_TimerQueueChurn(benchmark::State& state) {
   const int rearms = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::EventQueue q;
+    util::TimerQueue q;
     constexpr int kTimers = 64;  // live timers per host-like entity
-    std::vector<sim::EventId> ids(kTimers);
+    std::vector<util::EventId> ids(kTimers);
     for (int i = 0; i < kTimers; ++i) {
       ids[static_cast<std::size_t>(i)] =
           q.schedule(1000000 + i, [] {});  // far future
@@ -248,15 +247,16 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueChurn)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_TimerQueueChurn)->Arg(10000)->Arg(100000);
 
-// Interleaved schedule/cancel/pop with time progress — the simulator's
-// actual access pattern, including next_time() probes.
-void BM_EventQueueMixed(benchmark::State& state) {
+// Interleaved schedule/cancel/pop with time progress. Every schedule is
+// relative to the last popped time, as the simulator's are to its clock.
+void BM_TimerQueueMixed(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::EventQueue q;
-    std::vector<sim::EventId> pending;
+    util::TimerQueue q;
+    std::vector<util::EventId> pending;
+    util::TimePoint now = 0;
     std::uint64_t x = 88172645463325252ULL;  // xorshift, deterministic
     for (int i = 0; i < ops; ++i) {
       x ^= x << 13;
@@ -264,19 +264,61 @@ void BM_EventQueueMixed(benchmark::State& state) {
       x ^= x << 17;
       const auto r = x % 100;
       if (r < 50 || pending.empty()) {
-        pending.push_back(q.schedule(static_cast<sim::TimePoint>(i + x % 64),
-                                     [] {}));
+        pending.push_back(
+            q.schedule(now + static_cast<util::TimePoint>(x % 64), [] {}));
       } else if (r < 80) {
         q.cancel(pending[x % pending.size()]);
       } else if (!q.empty()) {
-        q.pop();
+        now = q.pop().time;
       }
     }
     while (!q.empty()) q.pop();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueMixed)->Arg(10000);
+BENCHMARK(BM_TimerQueueMixed)->Arg(10000);
+
+// The DES's own access pattern: a steady pending set (wan96_control peaks
+// near 2,600 events) where each fired event schedules one more. Delays
+// replay the mix measured on wan96_control: 47% under 4 ms (hop arrivals
+// on access links), 27% at 16-32 ms and 22% at 32 ms-1 s (trunk hops and
+// protocol periods), the rest timers out to minutes. One item is one
+// pop plus one schedule.
+void BM_TimerQueueHopMix(benchmark::State& state) {
+  constexpr std::size_t kDelays = 4096;
+  std::vector<util::Duration> delays(kDelays);
+  std::uint64_t x = 88172645463325252ULL;  // xorshift, deterministic
+  const auto draw = [&x](std::uint64_t span) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<util::Duration>(x % span);
+  };
+  for (util::Duration& d : delays) {
+    const auto pick = draw(100);
+    if (pick < 47) {
+      d = draw(4000);
+    } else if (pick < 74) {
+      d = 16000 + draw(16000);
+    } else if (pick < 96) {
+      d = 32000 + draw(968000);
+    } else {
+      d = 1000000 + draw(300000000);
+    }
+  }
+  util::TimerQueue q;
+  std::size_t next = 0;
+  for (int i = 0; i < state.range(0); ++i) {
+    q.schedule(delays[next++ % kDelays], [] {});
+  }
+  for (auto _ : state) {
+    const util::TimePoint now = q.pop().time;
+    benchmark::DoNotOptimize(now);
+    q.schedule(now + delays[next++ % kDelays], [] {});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerQueueHopMix)->Arg(2048);
 
 // --- network & its observer ----------------------------------------------
 

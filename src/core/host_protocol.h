@@ -146,9 +146,6 @@ class HostProtocol {
   [[nodiscard]] std::size_t consecutive_attach_timeouts() const {
     return consecutive_attach_timeouts_;
   }
-  [[nodiscard]] util::TimePoint last_parent_heard() const {
-    return last_parent_heard_;
-  }
   // The record of j; nullptr when j is not among all_hosts or no record
   // has been written yet.
   [[nodiscard]] const PeerRecord* peer(HostId j) const;

@@ -201,7 +201,7 @@ class InvariantMonitor final : public core::ProtocolObserver,
   std::uint64_t sweeps_{0};
 
   // Declared last: captures `this`.
-  sim::PeriodicTask sweep_task_;
+  util::PeriodicTask sweep_task_;
 };
 
 }  // namespace rbcast::harness

@@ -70,7 +70,6 @@ std::string protocol_fingerprint(const core::HostProtocol& p,
      << ";p=" << s.parent().value << ";pa=" << p.pending_attach().value
      << ";t="
      << std::min(p.consecutive_attach_timeouts(), c.attach_retry_burst)
-     << ";ph=" << (now - p.last_parent_heard() <= c.parent_timeout)
      << ";c=";
   for (HostId child : s.children()) os << child.value << ',';
   os << ";cl=";
@@ -82,9 +81,7 @@ std::string protocol_fingerprint(const core::HostProtocol& p,
     const core::HostProtocol::PeerRecord* peer = p.peer(h);
     const auto& r = peer != nullptr ? *peer : unwritten;
     os << h.value << '=' << s.map(h).to_string() << '|'
-       << s.parent_of(h).value << '|'
-       << (now - r.last_heard <= c.child_timeout)
-       << (r.failed_until > now)
+       << s.parent_of(h).value << '|' << (r.failed_until > now)
        << (r.last_piggyback.has_value() &&
            now - *r.last_piggyback < c.info_period_intra)
        << 'o';

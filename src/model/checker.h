@@ -74,9 +74,11 @@ struct ModelMessage {
 };
 
 // Canonical serialization of an automaton for state deduplication. Every
-// time-stamped field is recorded relative to `now` — live or lapsed — so
-// clock ticks do not grow the state space. Counters are observations and
-// stay out.
+// time-stamped field a move reads is recorded relative to `now` — live or
+// lapsed — so clock ticks do not grow the state space. The liveness stamps
+// (PeerRecord::last_heard, the parent's last-heard time) stay out: only
+// HostProtocol::maintenance_round reads them, and it is not a move.
+// Counters are observations and stay out too.
 [[nodiscard]] std::string protocol_fingerprint(const core::HostProtocol& p,
                                                util::TimePoint now);
 

@@ -113,7 +113,7 @@ class Network {
     Packet packet;
     LinkId link{kNoLink};  // the link being crossed; kNoLink otherwise
     bool to_host{false};   // crossing the destination's access link
-    sim::EventId arrival{};
+    util::EventId arrival{};
     std::uint32_t next_free{kNoSlot};
   };
 

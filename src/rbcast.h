@@ -39,7 +39,6 @@
 #include "net/network.h"
 #include "net/routing.h"
 #include "net/server.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "topo/generators.h"
@@ -60,3 +59,4 @@
 #include "util/seq_set.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/timer_queue.h"

@@ -13,12 +13,12 @@ Simulator::~Simulator() {
   util::Logger::instance().set_clock(nullptr);
 }
 
-EventId Simulator::at(TimePoint t, EventQueue::Action action) {
+util::EventId Simulator::at(TimePoint t, Action action) {
   RBCAST_ASSERT_MSG(t >= now_, "cannot schedule into the past");
   return queue_.schedule(t, std::move(action));
 }
 
-EventId Simulator::after(Duration d, EventQueue::Action action) {
+util::EventId Simulator::after(Duration d, Action action) {
   RBCAST_ASSERT_MSG(d >= 0, "negative delay");
   return queue_.schedule(now_ + d, std::move(action));
 }

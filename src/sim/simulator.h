@@ -1,17 +1,16 @@
 // The discrete-event simulation driver.
 //
-// Single-threaded: one virtual clock, one event queue. Every component of
-// the reproduction — links, servers, protocol hosts, fault injectors,
-// workload generators — schedules callbacks here. Determinism contract:
-// given the same topology, configuration and RNG seed, a run is
-// bit-for-bit reproducible.
+// Single-threaded: one virtual clock, one event queue (util::TimerQueue,
+// the exact-order queue util::RealTimeScheduler keeps its timers in too).
+// Every component of the reproduction — links, servers, protocol hosts,
+// fault injectors, workload generators — schedules callbacks here.
+// Determinism contract: given the same topology, configuration and RNG
+// seed, a run is bit-for-bit reproducible.
 #pragma once
 
-#include <functional>
-
-#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "util/scheduler.h"
+#include "util/timer_queue.h"
 
 namespace rbcast::sim {
 
@@ -29,13 +28,13 @@ class Simulator final : public util::Scheduler {
   [[nodiscard]] TimePoint now() const override { return now_; }
 
   // Schedules at an absolute time, which must not be in the past.
-  EventId at(TimePoint t, EventQueue::Action action);
+  util::EventId at(TimePoint t, Action action);
 
   // Schedules `d` ticks from now (d >= 0).
-  EventId after(Duration d, EventQueue::Action action) override;
+  util::EventId after(Duration d, Action action) override;
 
   // Cancels a pending event; false if it already fired.
-  bool cancel(EventId id) override { return queue_.cancel(id); }
+  bool cancel(util::EventId id) override { return queue_.cancel(id); }
 
   // Runs every event with time <= t, then advances the clock to t.
   void run_until(TimePoint t);
@@ -54,12 +53,7 @@ class Simulator final : public util::Scheduler {
 
  private:
   TimePoint now_{0};
-  EventQueue queue_;
+  util::TimerQueue queue_;
 };
-
-// The self-rescheduling periodic activity wrapper moved to
-// util/scheduler.h with the Scheduler interface; this alias keeps the
-// simulation-side spelling working.
-using PeriodicTask = util::PeriodicTask;
 
 }  // namespace rbcast::sim

@@ -4,7 +4,6 @@
 #include <time.h>
 
 #include <algorithm>
-#include <vector>
 
 #include "util/assert.h"
 
@@ -31,44 +30,40 @@ TimePoint RealTimeScheduler::now() const { return monotonic_micros() - epoch_; }
 EventId RealTimeScheduler::after(Duration d, Action action) {
   RBCAST_CHECK_ARG(d >= 0, "cannot schedule in the past");
   RBCAST_CHECK_ARG(action != nullptr, "scheduled action must be callable");
-  const std::uint64_t id = next_id_++;
-  const TimePoint deadline = now() + d;
-  timers_.emplace(TimerKey{deadline, id}, std::move(action));
-  deadlines_.emplace(id, deadline);
-  return EventId{id};
+  return timers_.schedule(now() + d, std::move(action));
 }
 
-bool RealTimeScheduler::cancel(EventId id) {
-  const auto it = deadlines_.find(id.value);
-  if (it == deadlines_.end()) return false;
-  timers_.erase(TimerKey{it->second, id.value});
-  deadlines_.erase(it);
-  return true;
-}
+bool RealTimeScheduler::cancel(EventId id) { return timers_.cancel(id); }
 
 void RealTimeScheduler::watch_fd(int fd, FdCallback on_readable) {
   RBCAST_CHECK_ARG(fd >= 0, "watch_fd needs a valid descriptor");
   RBCAST_CHECK_ARG(on_readable != nullptr, "watch_fd needs a callback");
   watched_[fd] = std::move(on_readable);
+  rebuild_poll_set();
 }
 
-void RealTimeScheduler::unwatch_fd(int fd) { watched_.erase(fd); }
+void RealTimeScheduler::unwatch_fd(int fd) {
+  watched_.erase(fd);
+  rebuild_poll_set();
+}
+
+void RealTimeScheduler::rebuild_poll_set() {
+  poll_set_.clear();
+  for (const auto& [fd, cb] : watched_) {
+    poll_set_.push_back(pollfd{fd, POLLIN, 0});
+  }
+}
 
 Duration RealTimeScheduler::fire_due_timers(Duration horizon) {
   // Pop one due timer at a time: the action may schedule or cancel other
-  // timers, so no iterator may live across a call into it.
-  while (!timers_.empty()) {
-    const auto it = timers_.begin();
-    const TimePoint deadline = it->first.first;
-    const Duration wait = deadline - now();
-    if (wait > 0) return std::min(wait, horizon);
-    Action action = std::move(it->second);
-    deadlines_.erase(it->first.second);
-    timers_.erase(it);
-    action();
-    if (stopped_) break;
+  // timers. pop_due never moves the queue's cursor past the time it is
+  // given, so a timer armed from inside an action at now() is accepted.
+  while (auto fired = timers_.pop_due(now())) {
+    fired->action();
+    if (stopped_) return horizon;
   }
-  return horizon;
+  if (timers_.empty()) return horizon;
+  return std::min(timers_.next_time() - now(), horizon);
 }
 
 void RealTimeScheduler::run_until(TimePoint t) {
@@ -79,22 +74,21 @@ void RealTimeScheduler::run_until(TimePoint t) {
     const Duration wait = fire_due_timers(remaining);
     if (stopped_ || t - now() <= 0) return;
 
-    std::vector<pollfd> fds;
-    fds.reserve(watched_.size());
-    for (const auto& [fd, cb] : watched_) {
-      fds.push_back(pollfd{fd, POLLIN, 0});
-    }
     // Round the poll timeout up to whole milliseconds so we never spin
     // sub-millisecond waits, and cap it to keep the int conversion safe.
     const Duration wait_ms =
         std::min<Duration>((std::max<Duration>(wait, 0) + 999) / 1000,
                            60 * 1000);
     const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+        ::poll(poll_set_.data(), static_cast<nfds_t>(poll_set_.size()),
                static_cast<int>(wait_ms));
     if (rc < 0) continue;  // EINTR: just re-derive deadlines and retry
-    for (const pollfd& p : fds) {
+    // By index: a callback that watches or unwatches an fd rebuilds
+    // poll_set_ with cleared revents, so the rest of this turn's readiness
+    // is dropped and the next poll() reports it again (level-triggered).
+    for (std::size_t i = 0; i < poll_set_.size(); ++i) {
       if (stopped_) return;
+      const pollfd p = poll_set_[i];
       if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
       // The callback may unwatch fds (including its own); look it up
       // fresh and skip if it vanished.

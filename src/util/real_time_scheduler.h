@@ -9,20 +9,22 @@
 // on the single thread that calls run_for()/run_until() — no locks, no
 // background threads, no global state.
 //
-// Timer ordering matches the simulator's event queue: earliest deadline
-// first, FIFO among equal deadlines. Wall-clock firing is of course only
-// as punctual as the OS makes it; the contract is "not before the
-// deadline, as soon after as the loop gets scheduled".
+// Timers live in the same util::TimerQueue as the simulator's events, so
+// the ordering is the same: earliest deadline first, FIFO among equal
+// deadlines. Wall-clock firing is of course only as punctual as the OS
+// makes it; the contract is "not before the deadline, as soon after as the
+// loop gets scheduled".
 #pragma once
 
-#include <cstdint>
+#include <poll.h>
+
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "util/scheduler.h"
 #include "util/time.h"
+#include "util/timer_queue.h"
 
 namespace rbcast::util {
 
@@ -60,20 +62,19 @@ class RealTimeScheduler final : public Scheduler {
   [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
 
  private:
-  // (deadline, sequence) orders the timer map: earliest deadline first,
-  // FIFO among ties — the same ordering the simulator's event queue gives.
-  using TimerKey = std::pair<TimePoint, std::uint64_t>;
-
   // Fires every timer whose deadline has passed; returns the delay until
   // the next pending deadline (or `horizon` if that is sooner / no timer).
   Duration fire_due_timers(Duration horizon);
 
+  // Rebuilds poll_set_ from watched_; only watch_fd/unwatch_fd call it.
+  void rebuild_poll_set();
+
   TimePoint epoch_{0};  // CLOCK_MONOTONIC µs at construction
-  std::uint64_t next_id_{1};
-  std::map<TimerKey, Action> timers_;
-  std::unordered_map<std::uint64_t, TimePoint> deadlines_;  // id -> deadline
+  TimerQueue timers_;
   // Sorted so the poll set is built in a reproducible fd order.
   std::map<int, FdCallback> watched_;
+  // The poll(2) array: watched_'s fds in order, kept between loop turns.
+  std::vector<pollfd> poll_set_;
   bool stopped_{false};
 };
 

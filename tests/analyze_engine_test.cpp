@@ -51,7 +51,7 @@ TEST(LayerPass, ForbiddenEdgeCoreToHarness) {
 TEST(LayerPass, RankClimbFlagged) {
   // sim (rank 1) including core (rank 4) climbs the DAG.
   const auto r = run({
-      {"src/sim/event_queue.h", "#pragma once\n#include \"core/config.h\"\n"},
+      {"src/sim/simulator.h", "#pragma once\n#include \"core/config.h\"\n"},
       {"src/core/config.h", "#pragma once\n"},
   });
   ASSERT_TRUE(fires(r.findings, "layer-violation"));
@@ -284,14 +284,14 @@ TEST(Census, ConstLocalStaticClean) {
 // --- hot-path allocation pass -------------------------------------------
 
 TEST(AllocPass, FlagsGrowingContainerInHotFunction) {
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::schedule(Event e) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::schedule(Event e) {\n"
                        "  heap_.push_back(std::move(e));\n"
                        "}\n"}});
   ASSERT_EQ(1u, count_rule(r.findings, "hot-alloc"));
   EXPECT_EQ(2, r.findings[0].line);
   EXPECT_NE(r.findings[0].message.find("push_back()"), std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("EventQueue::schedule"),
+  EXPECT_NE(r.findings[0].message.find("TimerQueue::schedule"),
             std::string::npos);
 }
 
@@ -322,8 +322,8 @@ TEST(AllocPass, QuietOutsideHotSet) {
 TEST(AllocPass, WordBoundariesAvoidFalsePositives) {
   // "renewal"/"newest_" must not match \bnew\b; a non-growing member call
   // ("find") must not match the container-growth alternation.
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::step_to(Time t) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::step_to(Time t) {\n"
                        "  renewal_ = t;\n"
                        "  newest_ = heap_.find(t);\n"
                        "}\n"}});
@@ -331,13 +331,27 @@ TEST(AllocPass, WordBoundariesAvoidFalsePositives) {
 }
 
 TEST(AllocPass, NestedLambdaStillAttributedToHotFunction) {
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::drain(Fn f) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::drain(Fn f) {\n"
                        "  visit([this](Event& e) {\n"
                        "    spill_.push_back(e);\n"
                        "  });\n"
                        "}\n"}});
   EXPECT_TRUE(fires(r.findings, "hot-alloc"));
+}
+
+TEST(AllocPass, RealTimeTimerFiringIsHotButPollSetRebuildIsNot) {
+  // fire_due_timers runs every loop turn of a real node; the poll set is
+  // rebuilt only when an fd is watched or unwatched.
+  const auto r = run({{"src/util/real_time_scheduler.cpp",
+                       "Duration RealTimeScheduler::fire_due_timers(D h) {\n"
+                       "  due_.push_back(h);\n"
+                       "}\n"
+                       "void RealTimeScheduler::rebuild_poll_set() {\n"
+                       "  poll_set_.push_back(pollfd{});\n"
+                       "}\n"}});
+  ASSERT_EQ(1u, count_rule(r.findings, "hot-alloc"));
+  EXPECT_EQ(2, r.findings[0].line);
 }
 
 TEST(AllocPass, RefcountedPayloadRelayStaysAllocationFree) {
@@ -447,8 +461,8 @@ TEST(AllocPass, PeerTableAccessorsAndPeriodicRoundsAreHot) {
 // --- waivers ------------------------------------------------------------
 
 TEST(Waivers, SuppressExactlyTheNamedRuleAndAreCounted) {
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::schedule(Event e) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::schedule(Event e) {\n"
                        "  heap_.push_back(e);  // analyze:allow(hot-alloc) "
                        "amortized growth\n"
                        "}\n"}});
@@ -461,8 +475,8 @@ TEST(Waivers, SuppressExactlyTheNamedRuleAndAreCounted) {
 }
 
 TEST(Waivers, WrongRuleNameLeavesFindingAndGoesStale) {
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::schedule(Event e) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::schedule(Event e) {\n"
                        "  heap_.push_back(e);  // analyze:allow(singleton) "
                        "misfiled\n"
                        "}\n"}});
@@ -484,8 +498,8 @@ TEST(Waivers, StaleWaiverOnCleanLineIsAFinding) {
 // --- ratchet ------------------------------------------------------------
 
 TEST(Ratchet, CountsFindingsAndWaiversPerRule) {
-  const auto r = run({{"src/sim/event_queue.cpp",
-                       "void EventQueue::schedule(Event e) {\n"
+  const auto r = run({{"src/util/timer_queue.cpp",
+                       "void TimerQueue::schedule(Event e) {\n"
                        "  a_.push_back(e);\n"
                        "  b_.push_back(e);  // analyze:allow(hot-alloc) ok\n"
                        "}\n"}});
@@ -562,14 +576,14 @@ TEST(Ratchet, EqualCountsAreClean) {
 TEST(ScopeScanner, ClassifiesHeads) {
   const std::vector<Scope> empty;
   EXPECT_EQ(ScopeKind::kNamespace, classify_head("namespace rbcast::sim", empty).kind);
-  EXPECT_EQ(ScopeKind::kType, classify_head("class EventQueue final", empty).kind);
-  EXPECT_EQ("EventQueue", classify_head("class EventQueue final", empty).name);
+  EXPECT_EQ(ScopeKind::kType, classify_head("class TimerQueue final", empty).kind);
+  EXPECT_EQ("TimerQueue", classify_head("class TimerQueue final", empty).name);
   EXPECT_EQ(ScopeKind::kBlock, classify_head("if (x > 0)", empty).kind);
   EXPECT_EQ(ScopeKind::kBlock, classify_head("for (int i = 0; i < n; ++i)", empty).kind);
 
-  const Scope fn = classify_head("void EventQueue::pop()", empty);
+  const Scope fn = classify_head("void TimerQueue::pop()", empty);
   EXPECT_EQ(ScopeKind::kFunction, fn.kind);
-  EXPECT_EQ("EventQueue::pop", fn.name);
+  EXPECT_EQ("TimerQueue::pop", fn.name);
 }
 
 TEST(ScopeScanner, QualifiesInClassMethodWithEnclosingType) {

@@ -57,7 +57,7 @@ TEST(Simulator, RunUntilStopsAtBoundaryInclusive) {
 TEST(Simulator, CancelPending) {
   Simulator s;
   bool fired = false;
-  const EventId id = s.at(10, [&] { fired = true; });
+  const util::EventId id = s.at(10, [&] { fired = true; });
   EXPECT_TRUE(s.cancel(id));
   s.run_until(20);
   EXPECT_FALSE(fired);
@@ -90,7 +90,7 @@ TEST(Simulator, RunToCompletionDrainsEverything) {
 TEST(PeriodicTask, FiresEveryPeriod) {
   Simulator s;
   std::vector<TimePoint> fired;
-  PeriodicTask task(s, 10, [&] { fired.push_back(s.now()); });
+  util::PeriodicTask task(s, 10, [&] { fired.push_back(s.now()); });
   task.start(3);
   s.run_until(45);
   EXPECT_EQ(fired, (std::vector<TimePoint>{3, 13, 23, 33, 43}));
@@ -99,7 +99,7 @@ TEST(PeriodicTask, FiresEveryPeriod) {
 TEST(PeriodicTask, StopHalts) {
   Simulator s;
   int count = 0;
-  PeriodicTask task(s, 10, [&] { ++count; });
+  util::PeriodicTask task(s, 10, [&] { ++count; });
   task.start(0);
   s.run_until(25);
   task.stop();
@@ -111,7 +111,7 @@ TEST(PeriodicTask, StopHalts) {
 TEST(PeriodicTask, ActionMayStopItsOwnTask) {
   Simulator s;
   int count = 0;
-  PeriodicTask task(s, 10, [&] {
+  util::PeriodicTask task(s, 10, [&] {
     ++count;
     if (count == 2) task.stop();
   });
@@ -124,7 +124,7 @@ TEST(PeriodicTask, DestructionCancelsPending) {
   Simulator s;
   int count = 0;
   {
-    PeriodicTask task(s, 10, [&] { ++count; });
+    util::PeriodicTask task(s, 10, [&] { ++count; });
     task.start(5);
   }
   s.run_until(100);
@@ -134,7 +134,7 @@ TEST(PeriodicTask, DestructionCancelsPending) {
 TEST(PeriodicTask, SetPeriodTakesEffectNextReschedule) {
   Simulator s;
   std::vector<TimePoint> fired;
-  PeriodicTask task(s, 10, [&] { fired.push_back(s.now()); });
+  util::PeriodicTask task(s, 10, [&] { fired.push_back(s.now()); });
   task.start(0);
   s.run_until(15);  // fires at 0, 10
   task.set_period(20);
@@ -149,8 +149,8 @@ TEST(PeriodicTask, SetPeriodTakesEffectNextReschedule) {
 
 TEST(PeriodicTask, RejectsBadArguments) {
   Simulator s;
-  EXPECT_THROW(PeriodicTask(s, 0, [] {}), std::invalid_argument);
-  EXPECT_THROW(PeriodicTask(s, 10, nullptr), std::invalid_argument);
+  EXPECT_THROW(util::PeriodicTask(s, 0, [] {}), std::invalid_argument);
+  EXPECT_THROW(util::PeriodicTask(s, 10, nullptr), std::invalid_argument);
 }
 
 }  // namespace

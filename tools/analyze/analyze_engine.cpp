@@ -456,9 +456,13 @@ LayerSpec default_layer_spec() {
 
 HotSpec default_hot_spec() {
   return HotSpec{{
-      {"EventQueue", "*"},
+      // The timer queue both schedulers share: every simulated event, every
+      // real-time timer. Its slab grows to the peak live count (waived at
+      // the one emplace_back); nothing else in it may allocate.
+      {"TimerQueue", "*"},
       {"Simulator", "step"},
       {"Simulator", "run_until"},
+      {"RealTimeScheduler", "fire_due_timers"},
       {"BroadcastHost", "on_delivery"},
       {"HostProtocol", "on_*"},
       {"HostProtocol", "handle_*"},

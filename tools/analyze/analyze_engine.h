@@ -19,7 +19,7 @@
 //                    be fixed or carry a waiver explaining why it is safe.
 //
 //   hot-path allocs  flags allocation inside the declared hot-function set
-//                    (EventQueue::*, Simulator::step, BroadcastHost::on_*,
+//                    (TimerQueue::*, Simulator::step, BroadcastHost::on_*,
 //                    SeqSet::*): operator new, make_unique/make_shared,
 //                    and growing-container calls (push_back, insert,
 //                    resize, ...). The zero-alloc event path planned for

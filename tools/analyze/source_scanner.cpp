@@ -77,7 +77,7 @@ Scope classify_head(const std::string& raw_head,
 
   // A function definition head contains a parameter list. Take the last
   // "name(" group before the parameters' closing paren — this skips
-  // return types like "EventQueue::Fired" and matches "Class::method" or
+  // return types like "TimerQueue::Fired" and matches "Class::method" or
   // plain "method". Constructor init lists ("): a_(x), b_(y)") still
   // resolve to the constructor name because we search the whole head.
   if (head.find('(') != std::string::npos) {

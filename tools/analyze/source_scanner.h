@@ -49,7 +49,7 @@ class ScopeScanner {
 
   // Innermost enclosing function name ("" when not inside a function).
   // For member functions defined inside a class body, the name is
-  // qualified with the innermost enclosing type ("EventQueue::pop").
+  // qualified with the innermost enclosing type ("TimerQueue::pop").
   [[nodiscard]] std::string enclosing_function() const;
 
   // True when the walk position is at namespace scope (only namespace
