@@ -59,19 +59,6 @@ Row run_one(double trunk_loss, harness::ProtocolKind kind) {
              completion};
 }
 
-// Google-benchmark JSON shape so tools/bench_compare.py can gate these
-// rows against the committed baseline (BENCH_recovery.json). The "times"
-// are deterministic virtual metrics of seeded simulations — identical on
-// every machine — so the gate threshold can be tight.
-void emit_json_row(std::ostream& os, bool& first, const std::string& name,
-                   double value, const char* unit) {
-  if (!first) os << ",\n";
-  first = false;
-  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
-     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
-     << value << ", \"time_unit\": \"" << unit << "\"}";
-}
-
 void run(bool json) {
   if (!json) {
     print_header(
@@ -107,8 +94,7 @@ void run(bool json) {
     }
   }
   if (json) {
-    std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
-              << "  \"benchmarks\": [\n" << rows.str() << "\n  ]\n}\n";
+    print_virtual_time_json(rows.str());
   } else {
     table.print(std::cout);
   }

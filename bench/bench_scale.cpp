@@ -169,17 +169,11 @@ void print_json(const WallTimes& wall, double total, std::uint64_t digest) {
             << "\"table_digest\": \"" << std::hex << std::setw(16)
             << std::setfill('0') << digest << std::dec << std::setfill(' ')
             << "\"},\n  \"benchmarks\": [\n";
-  auto row = [](const std::string& name, double seconds) {
-    std::cout << "    {\"name\": \"" << name
-              << "\", \"run_type\": \"iteration\", \"iterations\": 1, "
-              << "\"real_time\": " << seconds << ", \"cpu_time\": "
-              << seconds << ", \"time_unit\": \"s\"}";
-  };
+  bool first = true;
   for (const auto& [name, seconds] : wall.rows) {
-    row(name, seconds);
-    std::cout << ",\n";
+    emit_json_row(std::cout, first, name, seconds, "s");
   }
-  row("scale/total/wall", total);
+  emit_json_row(std::cout, first, "scale/total/wall", total, "s");
   std::cout << "\n  ]\n}\n";
 }
 

@@ -84,4 +84,24 @@ inline void print_header(const std::string& id, const std::string& claim) {
   std::cout << "\n=== " << id << " ===\n" << claim << "\n\n";
 }
 
+// One Google-benchmark JSON row (the shape tools/bench_compare.py gates
+// against a committed BENCH_*.json), preceded by ",\n" unless `first`.
+inline void emit_json_row(std::ostream& os, bool& first,
+                          const std::string& name, double value,
+                          const char* unit) {
+  if (!first) os << ",\n";
+  first = false;
+  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
+     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
+     << value << ", \"time_unit\": \"" << unit << "\"}";
+}
+
+// The --json document of a virtual-time bench. Its "times" are
+// deterministic metrics of seeded simulations, identical on every
+// machine, so the gate threshold against the baseline can be tight.
+inline void print_virtual_time_json(const std::string& rows) {
+  std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
+            << "  \"benchmarks\": [\n" << rows << "\n  ]\n}\n";
+}
+
 }  // namespace rbcast::bench

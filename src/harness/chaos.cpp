@@ -101,7 +101,7 @@ std::string to_json(const ChaosSpec& spec) {
   os << "  \"version\": 1,\n";
   os << "  \"topology\": {\"clusters\": " << spec.clusters
      << ", \"hosts_per_cluster\": " << spec.hosts_per_cluster
-     << ", \"shape\": \"" << spec.shape << "\"},\n";
+     << ", \"shape\": " << util::json_string(spec.shape) << "},\n";
   os << "  \"workload\": {\"broadcasts\": " << spec.broadcasts
      << ", \"interval_s\": " << fmt(spec.interval_s)
      << ", \"first_at_s\": " << fmt(spec.first_at_s) << "},\n";
@@ -177,7 +177,8 @@ std::string to_json(const ChaosSpec& spec) {
     for (std::size_t i = 0; i < spec.events.size(); ++i) {
       const ChaosEvent& e = spec.events[i];
       if (i > 0) os << ",";
-      os << "\n    {\"type\": \"" << e.type << "\", \"target\": " << e.target
+      os << "\n    {\"type\": " << util::json_string(e.type)
+         << ", \"target\": " << e.target
          << ", \"from_s\": " << fmt(e.from_s)
          << ", \"to_s\": " << fmt(e.to_s) << "}";
     }
@@ -258,22 +259,17 @@ ChaosSpec parse_chaos_spec(const std::string& json) {
     }
   }
   spec.concrete = bool_or(root, "concrete", false);
-  if (const Json* evs = root.find("events"); evs != nullptr) {
-    if (evs->type != Json::Type::kArray) {
-      throw std::invalid_argument("chaos spec: 'events' must be an array");
+  for (const Json& item : util::json_items(root, "events", kJsonContext)) {
+    if (item.type != Json::Type::kObject) {
+      throw std::invalid_argument("chaos spec: each event must be an object");
     }
-    for (const Json& item : evs->items) {
-      if (item.type != Json::Type::kObject) {
-        throw std::invalid_argument("chaos spec: each event must be an object");
-      }
-      ChaosEvent e;
-      e.type = str_or(item, "type", "");
-      validate_event_type(e.type);
-      e.target = int_or(item, "target", 0);
-      e.from_s = num_or(item, "from_s", 0);
-      e.to_s = num_or(item, "to_s", 0);
-      spec.events.push_back(std::move(e));
-    }
+    ChaosEvent e;
+    e.type = str_or(item, "type", "");
+    validate_event_type(e.type);
+    e.target = int_or(item, "target", 0);
+    e.from_s = num_or(item, "from_s", 0);
+    e.to_s = num_or(item, "to_s", 0);
+    spec.events.push_back(std::move(e));
   }
   if (spec.clusters < 1 || spec.hosts_per_cluster < 1) {
     throw std::invalid_argument("chaos spec: topology must be non-empty");

@@ -365,7 +365,9 @@ Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
       // Fairness: adversarial moves (drop/duplicate) are excluded —
       // liveness is claimed only for intervals where communication works
       // (the paper promises nothing under unbounded loss). Deliveries are
-      // weighted up so queued messages actually move.
+      // weighted up so queued messages move; the tick, which lapses attach
+      // exclusions and offer suppression, gets twice a step's weight (the
+      // best of 2-24 over seeds 1-10, EXPERIMENTS.md checker table).
       std::vector<int> weights;
       int total = 0;
       weights.reserve(options.size());
@@ -374,7 +376,8 @@ Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
                                  description.rfind("duplicate ", 0) == 0 ||
                                  description.rfind("forge ", 0) == 0;
         const bool delivery = description.rfind("deliver ", 0) == 0;
-        weights.push_back(adversarial ? 0 : (delivery ? 16 : 4));
+        const bool tick = description == "tick";
+        weights.push_back(adversarial ? 0 : delivery ? 16 : tick ? 8 : 4);
         total += weights.back();
       }
       if (total == 0) break;

@@ -11,46 +11,7 @@ namespace rbcast::trace {
 
 namespace {
 
-// Shortest round-trippable double, matching the JSONL sink's convention
-// (no locale, capped precision) so every exposition format agrees on how
-// a value prints.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+using util::format_double;
 
 const char* kind_name(util::MetricSnapshot::Kind kind) {
   switch (kind) {
@@ -79,41 +40,31 @@ std::string series(const std::string& name, const std::string& labels,
 
 void write_metric_json(std::ostream& os, const util::MetricSnapshot& m) {
   os << "{\"name\":";
-  write_escaped(os, m.name);
+  util::write_json_string(os, m.name);
   os << ",\"labels\":";
-  write_escaped(os, m.labels);
+  util::write_json_string(os, m.labels);
   os << ",\"kind\":\"" << kind_name(m.kind) << "\"";
   switch (m.kind) {
     case util::MetricSnapshot::Kind::kCounter:
       os << ",\"value\":" << m.counter;
       break;
     case util::MetricSnapshot::Kind::kGauge:
-      os << ",\"value\":" << fmt_double(m.gauge);
+      os << ",\"value\":" << format_double(m.gauge);
       break;
     case util::MetricSnapshot::Kind::kHistogram: {
       os << ",\"bounds\":[";
       for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-        os << (i > 0 ? "," : "") << fmt_double(m.bounds[i]);
+        os << (i > 0 ? "," : "") << format_double(m.bounds[i]);
       }
       os << "],\"cumulative\":[";
       for (std::size_t i = 0; i < m.cumulative.size(); ++i) {
         os << (i > 0 ? "," : "") << m.cumulative[i];
       }
-      os << "],\"count\":" << m.count << ",\"sum\":" << fmt_double(m.sum);
+      os << "],\"count\":" << m.count << ",\"sum\":" << format_double(m.sum);
       break;
     }
   }
   os << "}";
-}
-
-std::uint64_t member_u64(const util::Json& obj, const char* key,
-                         const char* context) {
-  const double v = util::json_num_or(obj, key, 0, context);
-  if (v < 0) {
-    throw std::invalid_argument(std::string(context) + ": '" + key +
-                                "' must be non-negative");
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -148,17 +99,17 @@ void write_prometheus(std::ostream& os,
         os << series(name, m.labels) << " " << m.counter << "\n";
         break;
       case util::MetricSnapshot::Kind::kGauge:
-        os << series(name, m.labels) << " " << fmt_double(m.gauge) << "\n";
+        os << series(name, m.labels) << " " << format_double(m.gauge) << "\n";
         break;
       case util::MetricSnapshot::Kind::kHistogram: {
         for (std::size_t i = 0; i < m.bounds.size(); ++i) {
           os << series(name + "_bucket", m.labels,
-                       "le=\"" + fmt_double(m.bounds[i]) + "\"")
+                       "le=\"" + format_double(m.bounds[i]) + "\"")
              << " " << m.cumulative[i] << "\n";
         }
         os << series(name + "_bucket", m.labels, "le=\"+Inf\"") << " "
            << m.count << "\n";
-        os << series(name + "_sum", m.labels) << " " << fmt_double(m.sum)
+        os << series(name + "_sum", m.labels) << " " << format_double(m.sum)
            << "\n";
         os << series(name + "_count", m.labels) << " " << m.count << "\n";
         break;
@@ -178,7 +129,7 @@ void write_metrics_json(std::ostream& os,
 }
 
 void write_status_json(std::ostream& os, const StatusDoc& doc) {
-  os << "{\"now_s\":" << fmt_double(doc.now_s)
+  os << "{\"now_s\":" << format_double(doc.now_s)
      << ",\"ready\":" << (doc.ready ? "true" : "false")
      << ",\"source\":" << doc.source
      << ",\"messages_expected\":" << doc.messages_expected
@@ -225,87 +176,62 @@ StatusDoc parse_status_json(const std::string& text) {
       util::json_int_or(root, "messages_expected", 0, kContext);
   doc.messages_sent = util::json_int_or(root, "messages_sent", 0, kContext);
 
-  const util::Json* hosts = root.find("hosts");
-  if (hosts != nullptr) {
-    if (hosts->type != util::Json::Type::kArray) {
-      throw std::invalid_argument("status: 'hosts' must be an array");
+  for (const util::Json& h : util::json_items(root, "hosts", kContext)) {
+    HostStatus hs;
+    hs.id = util::json_int_or(h, "id", -1, kContext);
+    hs.source = util::json_bool_or(h, "source", false, kContext);
+    hs.parent = util::json_int_or(h, "parent", -1, kContext);
+    hs.orphan = util::json_bool_or(h, "orphan", false, kContext);
+    hs.leader = util::json_bool_or(h, "leader", false, kContext);
+    hs.info_count = util::json_u64_or(h, "info_count", 0, kContext);
+    hs.max_seq = util::json_int_or(h, "max_seq", 0, kContext);
+    hs.deliveries = util::json_u64_or(h, "deliveries", 0, kContext);
+    hs.decode_errors = util::json_u64_or(h, "decode_errors", 0, kContext);
+    // Absent in documents from pre-auth nodes: default 0, not an error.
+    hs.auth_rejects = util::json_u64_or(h, "auth_rejects", 0, kContext);
+    for (const util::Json& member : util::json_items(h, "cluster", kContext)) {
+      hs.cluster.push_back(static_cast<std::int64_t>(
+          util::json_to_u64(member, kContext, "cluster")));
     }
-    for (const util::Json& h : hosts->items) {
-      HostStatus hs;
-      hs.id = util::json_int_or(h, "id", -1, kContext);
-      hs.source = util::json_bool_or(h, "source", false, kContext);
-      hs.parent = util::json_int_or(h, "parent", -1, kContext);
-      hs.orphan = util::json_bool_or(h, "orphan", false, kContext);
-      hs.leader = util::json_bool_or(h, "leader", false, kContext);
-      hs.info_count = member_u64(h, "info_count", kContext);
-      hs.max_seq = util::json_int_or(h, "max_seq", 0, kContext);
-      hs.deliveries = member_u64(h, "deliveries", kContext);
-      hs.decode_errors = member_u64(h, "decode_errors", kContext);
-      // Absent in documents from pre-auth nodes: default 0, not an error.
-      if (h.find("auth_rejects") != nullptr) {
-        hs.auth_rejects = member_u64(h, "auth_rejects", kContext);
-      }
-      if (const util::Json* cluster = h.find("cluster"); cluster != nullptr) {
-        if (cluster->type != util::Json::Type::kArray) {
-          throw std::invalid_argument("status: 'cluster' must be an array");
-        }
-        for (const util::Json& member : cluster->items) {
-          if (member.type != util::Json::Type::kNumber) {
-            throw std::invalid_argument(
-                "status: 'cluster' must hold numbers");
-          }
-          hs.cluster.push_back(static_cast<std::int64_t>(member.number));
-        }
-      }
-      doc.hosts.push_back(std::move(hs));
-    }
+    doc.hosts.push_back(std::move(hs));
   }
 
-  const util::Json* metrics = root.find("metrics");
-  if (metrics != nullptr) {
-    if (metrics->type != util::Json::Type::kArray) {
-      throw std::invalid_argument("status: 'metrics' must be an array");
-    }
-    for (const util::Json& m : metrics->items) {
-      util::MetricSnapshot ms;
-      ms.name = util::json_str_or(m, "name", "", kContext);
-      ms.labels = util::json_str_or(m, "labels", "", kContext);
-      const std::string kind = util::json_str_or(m, "kind", "", kContext);
-      if (kind == "counter") {
-        ms.kind = util::MetricSnapshot::Kind::kCounter;
-        ms.counter = member_u64(m, "value", kContext);
-      } else if (kind == "gauge") {
-        ms.kind = util::MetricSnapshot::Kind::kGauge;
-        ms.gauge = util::json_num_or(m, "value", 0, kContext);
-      } else if (kind == "histogram") {
-        ms.kind = util::MetricSnapshot::Kind::kHistogram;
-        ms.count = member_u64(m, "count", kContext);
-        ms.sum = util::json_num_or(m, "sum", 0, kContext);
-        const util::Json* bounds = m.find("bounds");
-        const util::Json* cumulative = m.find("cumulative");
-        if (bounds == nullptr || cumulative == nullptr ||
-            bounds->type != util::Json::Type::kArray ||
-            cumulative->type != util::Json::Type::kArray ||
-            bounds->items.size() != cumulative->items.size()) {
-          throw std::invalid_argument(
-              "status: histogram needs matching 'bounds'/'cumulative'");
-        }
-        for (const util::Json& b : bounds->items) {
-          ms.bounds.push_back(b.number);
-        }
-        for (const util::Json& c : cumulative->items) {
-          if (c.number < 0) {
-            throw std::invalid_argument(
-                "status: histogram counts must be non-negative");
-          }
-          ms.cumulative.push_back(static_cast<std::uint64_t>(c.number));
-        }
-      } else {
-        throw std::invalid_argument("status: unknown metric kind '" + kind +
-                                    "'");
+  for (const util::Json& m : util::json_items(root, "metrics", kContext)) {
+    util::MetricSnapshot ms;
+    ms.name = util::json_str_or(m, "name", "", kContext);
+    ms.labels = util::json_str_or(m, "labels", "", kContext);
+    const std::string kind = util::json_str_or(m, "kind", "", kContext);
+    if (kind == "counter") {
+      ms.kind = util::MetricSnapshot::Kind::kCounter;
+      ms.counter = util::json_u64_or(m, "value", 0, kContext);
+    } else if (kind == "gauge") {
+      ms.kind = util::MetricSnapshot::Kind::kGauge;
+      ms.gauge = util::json_num_or(m, "value", 0, kContext);
+    } else if (kind == "histogram") {
+      ms.kind = util::MetricSnapshot::Kind::kHistogram;
+      ms.count = util::json_u64_or(m, "count", 0, kContext);
+      ms.sum = util::json_num_or(m, "sum", 0, kContext);
+      const util::Json* bounds = m.find("bounds");
+      const util::Json* cumulative = m.find("cumulative");
+      if (bounds == nullptr || cumulative == nullptr ||
+          bounds->type != util::Json::Type::kArray ||
+          cumulative->type != util::Json::Type::kArray ||
+          bounds->items.size() != cumulative->items.size()) {
+        throw std::invalid_argument(
+            "status: histogram needs matching 'bounds'/'cumulative'");
       }
-      doc.metrics.push_back(std::move(ms));
+      for (const util::Json& b : bounds->items) {
+        ms.bounds.push_back(util::json_to_double(b, kContext, "bounds"));
+      }
+      for (const util::Json& c : cumulative->items) {
+        ms.cumulative.push_back(
+            util::json_to_u64(c, kContext, "cumulative"));
+      }
+    } else {
+      throw std::invalid_argument("status: unknown metric kind '" + kind +
+                                  "'");
     }
+    doc.metrics.push_back(std::move(ms));
   }
   return doc;
 }

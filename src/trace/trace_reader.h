@@ -1,10 +1,11 @@
 // Reading traces back: JSONL parsing and the analysis queries behind the
 // rbcast_trace CLI.
 //
-// The reader understands exactly the flat one-object-per-line format
-// JsonlSink writes (schema in PROTOCOL.md) and reconstructs TraceRecords,
-// so the write path and the read path share one type. The query layer
-// answers the questions an experimenter asks of a finished run:
+// Each line of the flat one-object-per-line format JsonlSink writes
+// (schema in PROTOCOL.md §11) is parsed by util::parse_json and mapped
+// back onto a TraceRecord, so the write path and the read path share one
+// type and the project has one JSON grammar. The query layer answers the
+// questions an experimenter asks of a finished run:
 //
 //  * summarize   — record counts per category/event, hosts seen, time
 //                  span, delivery/drop totals;
@@ -13,9 +14,6 @@
 //                  sequence number, reconstructed from trace ids;
 //  * convergence — the attachment/cycle-break timeline and when the tree
 //                  last changed shape.
-//
-// json_syntax_valid() is a standalone structural JSON checker used to
-// verify Chrome/Perfetto exports parse (tests and the CLI's --check).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +29,10 @@ namespace rbcast::trace {
 // --- parsing ---------------------------------------------------------------
 
 // Parses one JSONL trace line into `out`. Returns false (and sets
-// `error`) on malformed input. Unknown top-level keys become fields, so
-// the reader tolerates schema extensions.
+// `error`) on malformed JSON, a line that is not an object, a mistyped
+// t/cat/ev/host, or a field whose value is null, an array or an object.
+// Unknown top-level keys become fields, so the reader tolerates schema
+// extensions; numbers keep util::parse_json's exact typing.
 [[nodiscard]] bool parse_jsonl_line(const std::string& line, TraceRecord* out,
                                     std::string* error);
 
@@ -41,12 +41,6 @@ namespace rbcast::trace {
 [[nodiscard]] bool read_jsonl(std::istream& is,
                               std::vector<TraceRecord>* out,
                               std::string* error);
-
-// Structural syntax check: `text` must be exactly one valid JSON value
-// (the Chrome trace_event export is one JSON array). Rejects trailing
-// garbage; does not validate any schema.
-[[nodiscard]] bool json_syntax_valid(const std::string& text,
-                                     std::string* error);
 
 // Field access helpers (nullptr / fallback when absent or wrong type).
 [[nodiscard]] const FieldValue* find_field(const TraceRecord& r,

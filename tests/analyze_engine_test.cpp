@@ -523,6 +523,28 @@ TEST(Ratchet, MalformedBaselineFailsClosed) {
   EXPECT_FALSE(ratchet_from_json("{\"findings\": [1, 2]}").has_value());
 }
 
+TEST(Ratchet, GarbledBaselineFileFailsClosed) {
+  // The committed ANALYSIS_baseline.json shape, then ways to garble it.
+  const std::string good =
+      R"({"findings": {}, "waivers": {"hot-alloc": 11, "singleton": 1}})";
+  ASSERT_TRUE(ratchet_from_json(good).has_value());
+  EXPECT_EQ(ratchet_from_json(good)->waivers.at("hot-alloc"), 11);
+  for (const std::string& bad : {
+           good.substr(0, good.size() - 1),            // truncated
+           good + "}",                                  // trailing garbage
+           good + " {\"findings\": {}}",              // second document
+           std::string(R"({"findings": {}, "waivers": {"a": 1.5}})"),
+           std::string(R"({"findings": {}, "waivers": {"a": 1e12}})"),
+           std::string(R"({"findings": {}, "waivers": {"a": 99999999999}})"),
+           std::string(R"({"findings": {}, "waivers": {"a": "1"}})"),
+           std::string(R"({"findings": {}, "waivers": {}, "extra": {}})"),
+           std::string(R"({"findings": {}})"),
+           std::string(R"({"findings": {}, "waivers": {"a\q": 1}})"),
+       }) {
+    EXPECT_FALSE(ratchet_from_json(bad).has_value()) << bad;
+  }
+}
+
 TEST(Ratchet, CompareFlagsRegression) {
   Ratchet base, cur;
   base.findings = {{"hot-alloc", 1}};

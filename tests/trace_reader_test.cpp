@@ -1,5 +1,5 @@
-// Trace read path: JSONL parsing round-trips what JsonlSink writes, the
-// structural JSON validator accepts/rejects correctly, and the analysis
+// Trace read path: JSONL parsing round-trips what JsonlSink writes and
+// rejects malformed or nested records, and the analysis
 // queries (summary, timeline, lineage, convergence) answer real runs —
 // including the acceptance gate that --lineage reconstructs the full
 // relay + gap-fill path of one sequence number on a 4-cluster topology.
@@ -81,13 +81,29 @@ TEST(ParseJsonl, RunGlobalHostParsesAsNoHost) {
   EXPECT_EQ(field_int(r, "delivered"), 3);
 }
 
+TEST(ParseJsonl, NumbersKeepTheirExactType) {
+  const TraceRecord r = parse_ok(
+      R"({"t":5,"cat":"x","ev":"y","host":0,"max":18446744073709551615,)"
+      R"("neg":-9223372036854775808,"big":1e20})");
+  const FieldValue* max = find_field(r, "max");
+  ASSERT_NE(max, nullptr);
+  ASSERT_TRUE(std::holds_alternative<std::uint64_t>(*max));
+  EXPECT_EQ(std::get<std::uint64_t>(*max), UINT64_MAX);
+  EXPECT_EQ(field_int(r, "neg"), INT64_MIN);
+  // A double beyond int64 has no integer reading: the fallback, not UB.
+  EXPECT_EQ(field_int(r, "big", -7), -7);
+}
+
 TEST(ParseJsonl, RejectsMalformedLines) {
   TraceRecord r;
   std::string error;
   for (const char* bad :
        {"", "not json", "[1,2]", R"({"t":1)", R"({"t":1} trailing)",
         R"({"t":1,"cat":"x","ev":"y","host":0,})",
-        R"({"t":"not-a-number","cat":"x","ev":"y"})"}) {
+        R"({"t":"not-a-number","cat":"x","ev":"y"})",
+        R"({"t":1,"cat":"x","ev":"y","host":0,"a":[1]})",
+        R"({"t":1,"cat":"x","ev":"y","host":0,"a":{"b":1}})",
+        R"({"t":1,"cat":"x","ev":"y","host":0,"a":null})"}) {
     EXPECT_FALSE(parse_jsonl_line(bad, &r, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
@@ -110,32 +126,6 @@ TEST(ReadJsonl, SkipsEmptyLinesAndNamesBadLineNumbers) {
   EXPECT_FALSE(read_jsonl(bad, &records, &error));
   EXPECT_NE(error.find("2"), std::string::npos)
       << "error should name the offending line: " << error;
-}
-
-TEST(JsonSyntax, AcceptsValidDocuments) {
-  std::string error;
-  for (const char* ok :
-       {"{}", "[]", "null", "true", "-1.5e3", "\"a\\u00e9b\"",
-        R"([{"a":[1,2,{"b":null}]},"x"])", "  [1,\n2]  "}) {
-    EXPECT_TRUE(json_syntax_valid(ok, &error)) << ok << ": " << error;
-  }
-}
-
-TEST(JsonSyntax, RejectsInvalidDocuments) {
-  std::string error;
-  for (const char* bad :
-       {"", "{", "[1,]", "{\"a\":}", "[1 2]", "nul", "\"unterminated",
-        "01", "[1],", "{\"a\" 1}", "\"bad\\q\""}) {
-    EXPECT_FALSE(json_syntax_valid(bad, &error)) << bad;
-  }
-}
-
-TEST(JsonSyntax, RejectsPathologicalNesting) {
-  std::string deep(100, '[');
-  deep += std::string(100, ']');
-  std::string error;
-  EXPECT_FALSE(json_syntax_valid(deep, &error));
-  EXPECT_NE(error.find("deep"), std::string::npos) << error;
 }
 
 // Shared traced run for the query tests: 4 clusters, lossy trunks so gap

@@ -17,6 +17,7 @@
 #include "harness/workload.h"
 #include "topo/generators.h"
 #include "trace/trace_reader.h"
+#include "util/json.h"
 
 namespace rbcast::trace {
 namespace {
@@ -101,8 +102,7 @@ TEST(MultiSink, FansOutAndCloses) {
   multi.close();
   EXPECT_NE(a.str().find("delivered"), std::string::npos);
   EXPECT_NE(b.str().find("delivered"), std::string::npos);
-  std::string error;
-  EXPECT_TRUE(json_syntax_valid(b.str(), &error)) << error;
+  EXPECT_NO_THROW((void)util::parse_json(b.str(), "chrome trace"));
 }
 
 TEST(RunManifest, CarriesReproductionParameters) {
@@ -164,8 +164,7 @@ TEST(ChromeTrace, ExportIsStructurallyValidTraceEventJson) {
     EXPECT_TRUE(run_traced(sink, 5, 0.0, sim::milliseconds(500)));
   }
   const std::string text = os.str();
-  std::string error;
-  ASSERT_TRUE(json_syntax_valid(text, &error)) << error;
+  ASSERT_NO_THROW((void)util::parse_json(text, "chrome trace"));
 
   // The three trace_event phases the backend emits: metadata (process /
   // thread names), instant protocol/net events, and metric counters.
@@ -190,8 +189,7 @@ TEST(ChromeTrace, CloseIsIdempotentAndFinalizesArray) {
   sink.close();
   sink.close();
   const std::string text = os.str();
-  std::string error;
-  EXPECT_TRUE(json_syntax_valid(text, &error)) << error;
+  EXPECT_NO_THROW((void)util::parse_json(text, "chrome trace"));
   // Records after close are ignored, not appended past the closing ']'.
   sink.record(r);
   EXPECT_EQ(os.str(), text);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <functional>
 #include <regex>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "analyze/source_scanner.h"
 #include "lint/lint_engine.h"
+#include "util/json.h"
 
 namespace rbcast::analyze {
 
@@ -405,29 +405,6 @@ void find_cycles(const std::map<std::string, std::set<std::string>>& graph,
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 LayerSpec default_layer_spec() {
@@ -690,19 +667,19 @@ std::string to_json(const AnalysisResult& result) {
   os << "{\n  \"findings\": [\n";
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const Finding& f = result.findings[i];
-    os << "    {\"file\": \"" << json_escape(f.file)
-       << "\", \"line\": " << f.line << ", \"rule\": \""
-       << json_escape(f.rule) << "\", \"message\": \""
-       << json_escape(f.message) << "\"}"
+    os << "    {\"file\": " << util::json_string(f.file)
+       << ", \"line\": " << f.line
+       << ", \"rule\": " << util::json_string(f.rule)
+       << ", \"message\": " << util::json_string(f.message) << "}"
        << (i + 1 < result.findings.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"waivers\": [\n";
   for (std::size_t i = 0; i < result.waivers.size(); ++i) {
     const Waiver& w = result.waivers[i];
-    os << "    {\"file\": \"" << json_escape(w.file)
-       << "\", \"line\": " << w.line << ", \"rule\": \""
-       << json_escape(w.rule) << "\", \"reason\": \""
-       << json_escape(w.reason) << "\"}"
+    os << "    {\"file\": " << util::json_string(w.file)
+       << ", \"line\": " << w.line
+       << ", \"rule\": " << util::json_string(w.rule)
+       << ", \"reason\": " << util::json_string(w.reason) << "}"
        << (i + 1 < result.waivers.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"counts\": " << ratchet_to_json(r) << "\n}\n";
@@ -717,7 +694,7 @@ std::string ratchet_to_json(const Ratchet& r) {
     for (const auto& [rule, n] : m) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(rule) << "\": " << n;
+      os << util::json_string(rule) << ": " << n;
     }
     os << "}";
   };
@@ -730,107 +707,32 @@ std::string ratchet_to_json(const Ratchet& r) {
   return os.str();
 }
 
-namespace {
-
-// Minimal parser for the exact baseline shape:
-//   {"findings": {"rule": int, ...}, "waivers": {...}}
-// Anything else returns nullopt (the gate fails closed on a mangled
-// baseline rather than silently passing).
-struct JsonCursor {
-  std::string_view s;
-  std::size_t i{0};
-
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-  std::optional<std::string> string() {
-    skip_ws();
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out.push_back(s[i]);
-      ++i;
-    }
-    if (!eat('"')) return std::nullopt;
-    return out;
-  }
-  std::optional<int> integer() {
-    skip_ws();
-    bool neg = false;
-    if (i < s.size() && s[i] == '-') {
-      neg = true;
-      ++i;
-    }
-    if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
-      return std::nullopt;
-    }
-    long v = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      v = v * 10 + (s[i] - '0');
-      ++i;
-    }
-    return static_cast<int>(neg ? -v : v);
-  }
-  std::optional<std::map<std::string, int>> int_map() {
-    if (!eat('{')) return std::nullopt;
-    std::map<std::string, int> out;
-    if (eat('}')) return out;
-    while (true) {
-      auto key = string();
-      if (!key || !eat(':')) return std::nullopt;
-      auto val = integer();
-      if (!val) return std::nullopt;
-      out[*key] = *val;
-      if (eat('}')) return out;
-      if (!eat(',')) return std::nullopt;
-    }
-  }
-};
-
-}  // namespace
-
 std::optional<Ratchet> ratchet_from_json(std::string_view json) {
-  JsonCursor c{json};
-  if (!c.eat('{')) return std::nullopt;
-  Ratchet r;
-  bool saw_findings = false;
-  bool saw_waivers = false;
-  if (c.eat('}')) return std::nullopt;
-  while (true) {
-    auto key = c.string();
-    if (!key || !c.eat(':')) return std::nullopt;
-    auto m = c.int_map();
-    if (!m) return std::nullopt;
-    if (*key == "findings") {
-      r.findings = std::move(*m);
-      saw_findings = true;
-    } else if (*key == "waivers") {
-      r.waivers = std::move(*m);
-      saw_waivers = true;
-    } else {
+  // The exact baseline shape {"findings": {"rule": int, ...},
+  // "waivers": {...}}; anything else is nullopt, so the gate fails closed
+  // on a mangled baseline rather than silently passing.
+  constexpr std::string_view kContext = "ratchet baseline";
+  using util::Json;
+  try {
+    const Json root = util::parse_json(json, kContext);
+    const Json* findings = root.find("findings");
+    const Json* waivers = root.find("waivers");
+    if (root.members.size() != 2 || findings == nullptr ||
+        waivers == nullptr || findings->type != Json::Type::kObject ||
+        waivers->type != Json::Type::kObject) {
       return std::nullopt;
     }
-    if (c.eat('}')) break;
-    if (!c.eat(',')) return std::nullopt;
+    Ratchet r;
+    for (const auto& [rule, n] : findings->members) {
+      r.findings[rule] = util::json_to_int(n, kContext, rule);
+    }
+    for (const auto& [rule, n] : waivers->members) {
+      r.waivers[rule] = util::json_to_int(n, kContext, rule);
+    }
+    return r;
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
-  if (!saw_findings || !saw_waivers) return std::nullopt;
-  return r;
 }
 
 RatchetDiff compare_ratchet(const Ratchet& baseline, const Ratchet& current) {

@@ -97,13 +97,13 @@ NodeConfig load_config(const std::string& path) {
   const util::Json root = util::parse_json(buffer.str(), kContext);
 
   NodeConfig cfg;
-  const util::Json* hosts = root.find("hosts");
-  if (hosts == nullptr || hosts->type != util::Json::Type::kArray ||
-      hosts->items.empty()) {
+  const std::vector<util::Json>& hosts =
+      util::json_items(root, "hosts", kContext);
+  if (hosts.empty()) {
     throw std::invalid_argument(
         std::string(kContext) + ": 'hosts' must be a non-empty array");
   }
-  for (const util::Json& h : hosts->items) {
+  for (const util::Json& h : hosts) {
     transport::UdpTransport::Peer peer;
     const int id = util::json_int_or(h, "id", -1, kContext);
     if (id < 0) {
@@ -122,8 +122,7 @@ NodeConfig load_config(const std::string& path) {
   }
 
   cfg.source = HostId{util::json_int_or(root, "source", 0, kContext)};
-  cfg.seed = static_cast<std::uint64_t>(
-      util::json_num_or(root, "seed", 1, kContext));
+  cfg.seed = util::json_u64_or(root, "seed", 1, kContext);
   cfg.messages = util::json_int_or(root, "messages", 20, kContext);
   cfg.interval = ms_or(root, "interval_ms", cfg.interval);
   cfg.run_for = util::from_seconds(
@@ -141,8 +140,7 @@ NodeConfig load_config(const std::string& path) {
     cfg.impairment.reorder = util::json_num_or(*imp, "reorder", 0, kContext);
     cfg.impairment.delay_max =
         ms_or(*imp, "delay_max_ms", cfg.impairment.delay_max);
-    cfg.impairment.seed = static_cast<std::uint64_t>(
-        util::json_num_or(*imp, "seed", 0, kContext));
+    cfg.impairment.seed = util::json_u64_or(*imp, "seed", 0, kContext);
   }
 
   // Real-time defaults are much tighter than the simulator's: a localhost

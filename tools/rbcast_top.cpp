@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "trace/exposition.h"
+#include "util/json.h"
 #include "util/table.h"
 
 using namespace rbcast;
@@ -460,11 +461,7 @@ void render_table(const Options& options, const std::vector<Sample>& current,
 }
 
 std::string fmt_json_double(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  return std::isfinite(v) ? util::format_double(v) : "null";
 }
 
 void render_json(const Options& options, const std::vector<Sample>& current,
@@ -476,8 +473,9 @@ void render_json(const Options& options, const std::vector<Sample>& current,
   for (std::size_t i = 0; i < current.size(); ++i) {
     const Sample& s = current[i];
     if (i > 0) os << ",";
-    os << "{\"endpoint\":\"" << options.endpoints[i] << "\""
-       << ",\"reachable\":" << (s.reachable ? "true" : "false")
+    os << "{\"endpoint\":";
+    util::write_json_string(os, options.endpoints[i]);
+    os << ",\"reachable\":" << (s.reachable ? "true" : "false")
        << ",\"ready\":" << (s.ready ? "true" : "false")
        << ",\"hosts\":" << s.hosts
        << ",\"converged_hosts\":" << s.converged_hosts
