@@ -345,7 +345,7 @@ void BM_NetworkHop(benchmark::State& state) {
   const HostId to = wan.cluster_hosts.back().front();
   const std::any payload = std::string("INFO 0123456789");
   for (auto _ : state) {
-    network.send(from, to, payload, 64, "info");
+    network.send(from, to, payload, 64, "info", /*trace_id=*/0);
     simulator.run_to_completion();
   }
   if (delivered != static_cast<std::uint64_t>(state.iterations())) {
@@ -510,19 +510,22 @@ BENCHMARK(BM_RunAttachment)->Arg(96);
 // the liveness stamp. Sends go to a sink that drops them.
 void BM_BroadcastHostOnInfo(benchmark::State& state) {
   constexpr int kHosts = 96;
-  class Sink final : public net::HostEndpoint {
+  class Sink final : public transport::Transport, public net::HostEndpoint {
    public:
-    explicit Sink(HostId self) : self_(self) {}
-    [[nodiscard]] HostId self() const override { return self_; }
+    [[nodiscard]] util::Scheduler& scheduler() override { return simulator_; }
+    net::HostEndpoint& attach(HostId, net::DeliveryFn) override {
+      return *this;
+    }
+    void detach(HostId) override {}
+    [[nodiscard]] HostId self() const override { return HostId{5}; }
     void send(HostId, std::any, std::size_t, std::string,
               net::TraceId) override {}
 
    private:
-    HostId self_;
+    sim::Simulator simulator_;
   };
-  sim::Simulator simulator;
-  Sink sink(HostId{5});
-  core::BroadcastHost host(simulator, sink, HostId{0}, host_range(kHosts),
+  Sink sink;
+  core::BroadcastHost host(sink, HostId{5}, HostId{0}, host_range(kHosts),
                            core::Config{}, util::Rng(1));
   std::vector<net::Delivery> deliveries;
   for (int j = 0; j < kHosts; ++j) {

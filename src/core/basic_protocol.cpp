@@ -21,20 +21,23 @@ const char* kind_of(const BasicMessage& m) {
   return std::holds_alternative<BasicData>(m) ? "data" : "ack";
 }
 
-BasicSource::BasicSource(util::Scheduler& scheduler,
-                         net::HostEndpoint& endpoint,
+BasicSource::BasicSource(transport::Transport& transport, HostId self,
                          std::vector<HostId> all_hosts, BasicConfig config,
                          util::Rng rng)
-    : scheduler_(scheduler),
-      endpoint_(endpoint),
+    : transport_(transport),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
       config_(config),
       rng_(rng) {
   for (HostId h : all_hosts) {
-    if (h != endpoint_.self()) destinations_.push_back(h);
+    if (h != self) destinations_.push_back(h);
   }
   retransmit_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.retransmit_period, [this] { retransmit_round(); });
+      transport_.scheduler(), config_.retransmit_period,
+      [this] { retransmit_round(); });
 }
+
+BasicSource::~BasicSource() { transport_.detach(self()); }
 
 void BasicSource::start() {
   retransmit_task_->start(
@@ -50,7 +53,7 @@ Seq BasicSource::broadcast(std::string body) {
     waiting.insert(h);
     endpoint_.send(h, std::any(BasicMessage(BasicData{seq, it->second})),
                    wire_size(BasicMessage(BasicData{seq, it->second})),
-                   "data", net::make_trace_id(endpoint_.self(), seq));
+                   "data", net::make_trace_id(self(), seq));
     ++counters_.first_sends;
   }
   if (waiting.empty()) {  // degenerate single-host network
@@ -95,15 +98,20 @@ void BasicSource::retransmit_round() {
       --budget;
       BasicMessage m{BasicData{seq, body}};
       endpoint_.send(h, std::any(m), wire_size(m), "data_retx",
-                     net::make_trace_id(endpoint_.self(), seq));
+                     net::make_trace_id(self(), seq));
       ++counters_.retransmissions;
     }
   }
 }
 
-BasicReceiver::BasicReceiver(net::HostEndpoint& endpoint,
+BasicReceiver::BasicReceiver(transport::Transport& transport, HostId self,
                              AppDeliverFn app_deliver)
-    : endpoint_(endpoint), app_deliver_(std::move(app_deliver)) {}
+    : transport_(transport),
+      app_deliver_(std::move(app_deliver)),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })) {}
+
+BasicReceiver::~BasicReceiver() { transport_.detach(self()); }
 
 void BasicReceiver::on_delivery(const net::Delivery& delivery) {
   const auto* message = std::any_cast<BasicMessage>(&delivery.payload);
@@ -114,7 +122,8 @@ void BasicReceiver::on_delivery(const net::Delivery& delivery) {
 
   // Acknowledge every copy: an earlier ack may have been lost.
   BasicMessage ack{BasicAck{data->seq}};
-  endpoint_.send(delivery.from, std::any(ack), wire_size(ack), "ack");
+  endpoint_.send(delivery.from, std::any(ack), wire_size(ack), "ack",
+                 /*trace_id=*/0);
   ++counters_.acks_sent;
 
   if (received_.insert(data->seq)) {

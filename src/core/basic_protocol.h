@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "net/message.h"
+#include "transport/transport.h"
 #include "util/scheduler.h"
 #include "util/rng.h"
 #include "util/seq_set.h"
@@ -50,12 +51,14 @@ struct BasicConfig {
   std::size_t retransmit_burst{SIZE_MAX};
 };
 
-// The source role of the basic algorithm.
+// The source role of the basic algorithm. Both roles attach `self` to
+// `transport` (which must outlive them) and detach in their destructors.
 class BasicSource {
  public:
-  BasicSource(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
+  BasicSource(transport::Transport& transport, HostId self,
               std::vector<HostId> all_hosts, BasicConfig config,
               util::Rng rng);
+  ~BasicSource();
 
   void start();
 
@@ -81,7 +84,7 @@ class BasicSource {
  private:
   void retransmit_round();
 
-  util::Scheduler& scheduler_;
+  transport::Transport& transport_;
   net::HostEndpoint& endpoint_;
   std::vector<HostId> destinations_;  // all hosts except self
   BasicConfig config_;
@@ -100,7 +103,12 @@ class BasicReceiver {
  public:
   using AppDeliverFn = std::function<void(Seq, const std::string& body)>;
 
-  BasicReceiver(net::HostEndpoint& endpoint, AppDeliverFn app_deliver = {});
+  BasicReceiver(transport::Transport& transport, HostId self,
+                AppDeliverFn app_deliver = {});
+  ~BasicReceiver();
+
+  BasicReceiver(const BasicReceiver&) = delete;
+  BasicReceiver& operator=(const BasicReceiver&) = delete;
 
   void on_delivery(const net::Delivery& delivery);
 
@@ -115,8 +123,9 @@ class BasicReceiver {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  net::HostEndpoint& endpoint_;
+  transport::Transport& transport_;
   AppDeliverFn app_deliver_;
+  net::HostEndpoint& endpoint_;
   util::SeqSet received_;
   Counters counters_;
 };

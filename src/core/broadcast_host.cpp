@@ -6,14 +6,15 @@
 
 namespace rbcast::core {
 
-BroadcastHost::BroadcastHost(util::Scheduler& scheduler,
-                             net::HostEndpoint& endpoint, HostId source,
-                             std::vector<HostId> all_hosts, Config config,
-                             util::Rng rng, AppDeliverFn app_deliver)
-    : scheduler_(scheduler),
-      endpoint_(endpoint),
-      protocol_(endpoint.self(), source, std::move(all_hosts),
-                std::move(config), rng),
+BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
+                             HostId source, std::vector<HostId> all_hosts,
+                             Config config, util::Rng rng,
+                             AppDeliverFn app_deliver)
+    : scheduler_(transport.scheduler()),
+      transport_(transport),
+      protocol_(self, source, std::move(all_hosts), std::move(config), rng),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
       app_deliver_(std::move(app_deliver)) {
   const Config& c = protocol_.config();
   // Maintenance must run well inside the shortest timeout it enforces.
@@ -37,24 +38,10 @@ BroadcastHost::BroadcastHost(util::Scheduler& scheduler,
         [this] { protocol_.maintenance_round(scheduler_.now(), *this); });
 }
 
-BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
-                             HostId source, std::vector<HostId> all_hosts,
-                             Config config, util::Rng rng,
-                             AppDeliverFn app_deliver)
-    : BroadcastHost(transport.scheduler(),
-                    transport.attach(self,
-                                     [this](const net::Delivery& d) {
-                                       on_delivery(d);
-                                     }),
-                    source, std::move(all_hosts), std::move(config), rng,
-                    std::move(app_deliver)) {
-  transport_ = &transport;
-}
-
 BroadcastHost::~BroadcastHost() {
   // Detach before members die so an in-flight delivery can never reach a
   // half-destroyed host.
-  if (transport_ != nullptr) transport_->detach(self());
+  transport_.detach(self());
   if (metrics_registry_ != nullptr) {
     for (const std::string& name : metrics_names_) {
       metrics_registry_->unregister(name, metrics_labels_);

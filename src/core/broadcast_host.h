@@ -1,7 +1,8 @@
 // BroadcastHost — one host's protocol, driven by a runtime.
 //
-// Runs a HostProtocol (host_protocol.h, where every handler is defined) on
-// a scheduler and a network endpoint: the periodic activities with phase
+// Runs a HostProtocol (host_protocol.h, where every handler is defined) over
+// a transport::Transport — the simulator's SimTransport, real sockets'
+// UdpTransport or a test fake, unmodified: the periodic activities with phase
 // jitter, the attach-acknowledgment timer, the paper's single-destination
 // send + cost-bit delivery, and metrics registration. The instance whose
 // id equals `source` plays the source role. Delivery to the application
@@ -33,18 +34,11 @@ class BroadcastHost : private HostProtocol::Effects {
   using AppDeliverFn = std::function<void(Seq, std::string_view body)>;
   using Counters = HostProtocol::Counters;
 
-  // `endpoint` must outlive this object. `rng` drives the phase jitter of
-  // the periodic tasks (so hosts do not act in lock-step) and the far
-  // gap-fill target picks.
-  BroadcastHost(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
-                HostId source, std::vector<HostId> all_hosts, Config config,
-                util::Rng rng, AppDeliverFn app_deliver = {});
-
-  // Transport-backed construction: attaches `self` to `transport` (which
-  // must outlive this object), wiring on_delivery as the upcall and
-  // running the periodic tasks on the transport's scheduler. The same
-  // host code runs over the simulator (SimTransport) and real sockets
-  // (UdpTransport); the destructor detaches.
+  // Attaches `self` to `transport` (which must outlive this object),
+  // wiring on_delivery as the upcall and running the periodic tasks on the
+  // transport's scheduler; the destructor detaches. `rng` drives the phase
+  // jitter of the periodic tasks (so hosts do not act in lock-step) and
+  // the far gap-fill target picks.
   BroadcastHost(transport::Transport& transport, HostId self, HostId source,
                 std::vector<HostId> all_hosts, Config config, util::Rng rng,
                 AppDeliverFn app_deliver = {});
@@ -124,10 +118,10 @@ class BroadcastHost : private HostProtocol::Effects {
   void attachment_round();
 
   util::Scheduler& scheduler_;
-  net::HostEndpoint& endpoint_;
-  // Set only by the Transport-backed constructor; the destructor detaches.
-  transport::Transport* transport_{nullptr};
+  transport::Transport& transport_;
+  // Before endpoint_: a constructor that throws leaves nothing attached.
   HostProtocol protocol_;
+  net::HostEndpoint& endpoint_;
   AppDeliverFn app_deliver_;
 
   // Timer of the attach handshake in flight (HostProtocol::pending_attach).

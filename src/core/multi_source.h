@@ -8,9 +8,12 @@
 //
 // MultiSourceNode does exactly that: it runs one independent BroadcastHost
 // instance per source on each host, multiplexed over the host's single
-// network endpoint. Each instance maintains its own host parent graph
-// (rooted at its source), its own INFO/MAP state and its own periodic
-// activities; messages are tagged with the owning source on the wire.
+// attachment to a transport::Transport. Each instance maintains its own
+// host parent graph (rooted at its source), its own INFO/MAP state and its
+// own periodic activities. Each instance's Transport is a small per-stream
+// adapter: it forwards scheduler() to the real transport, tags outgoing
+// messages with the owning source, and receives the deliveries the node
+// demultiplexes to that stream.
 #pragma once
 
 #include <functional>
@@ -22,7 +25,7 @@
 #include "core/broadcast_host.h"
 #include "core/config.h"
 #include "net/message.h"
-#include "util/scheduler.h"
+#include "transport/transport.h"
 #include "util/rng.h"
 
 namespace rbcast::core {
@@ -42,10 +45,13 @@ class MultiSourceNode {
 
   // `sources` lists every broadcast stream in the system (each must be a
   // member of `all_hosts`); a protocol instance is created for each.
-  MultiSourceNode(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
+  // Attaches `self` to `transport` (which must outlive this object); the
+  // destructor detaches.
+  MultiSourceNode(transport::Transport& transport, HostId self,
                   std::vector<HostId> sources, std::vector<HostId> all_hosts,
                   const Config& config, const util::RngFactory& rngs,
                   AppDeliverFn app_deliver = {});
+  ~MultiSourceNode();
 
   MultiSourceNode(const MultiSourceNode&) = delete;
   MultiSourceNode& operator=(const MultiSourceNode&) = delete;
@@ -53,51 +59,32 @@ class MultiSourceNode {
   // Arms every instance's periodic activities.
   void start();
 
-  // Network upcall: demultiplexes to the owning instance.
-  void on_delivery(const net::Delivery& delivery);
-
   // Broadcasts on this host's own stream. Precondition: is_source().
   Seq broadcast(std::string body);
 
-  [[nodiscard]] HostId self() const { return endpoint_.self(); }
-  [[nodiscard]] bool is_source() const {
-    return instances_.contains(self());
-  }
+  [[nodiscard]] HostId self() const { return self_; }
+  [[nodiscard]] bool is_source() const { return streams_.contains(self()); }
 
   // The single-source protocol instance for `source`'s stream.
   [[nodiscard]] BroadcastHost& instance(HostId source);
-  [[nodiscard]] const BroadcastHost& instance(HostId source) const;
 
-  [[nodiscard]] const std::vector<HostId>& sources() const {
-    return sources_;
-  }
-
-  // True iff this host holds messages 1..n of every stream, where n is
-  // each stream's known maximum.
+  // First receipts handed to the application, summed over every stream.
   [[nodiscard]] std::size_t total_deliveries() const;
 
  private:
-  // Adapter handed to each inner BroadcastHost: wraps outgoing protocol
-  // messages into MuxMessage envelopes on the shared endpoint.
-  class MuxEndpoint final : public net::HostEndpoint {
-   public:
-    MuxEndpoint(net::HostEndpoint& real, HostId stream_source)
-        : real_(real), stream_source_(stream_source) {}
-    [[nodiscard]] HostId self() const override { return real_.self(); }
-    void send(HostId to, std::any payload, std::size_t bytes,
-              std::string kind, net::TraceId trace_id) override;
+  // One stream: the Transport its BroadcastHost attaches to, and the host.
+  class Stream;
 
-   private:
-    net::HostEndpoint& real_;
-    HostId stream_source_;
-  };
+  // Upcall of the real transport: demultiplexes to the owning stream.
+  void on_delivery(const net::Delivery& delivery);
 
-  net::HostEndpoint& endpoint_;
-  std::vector<HostId> sources_;
+  transport::Transport& transport_;
+  HostId self_;
   AppDeliverFn app_deliver_;
   // Keyed by source id; iteration order deterministic.
-  std::map<HostId, std::unique_ptr<MuxEndpoint>> mux_endpoints_;
-  std::map<HostId, std::unique_ptr<BroadcastHost>> instances_;
+  std::map<HostId, std::unique_ptr<Stream>> streams_;
+  // Set last in the constructor, once every stream exists.
+  net::HostEndpoint* endpoint_{nullptr};
 };
 
 }  // namespace rbcast::core

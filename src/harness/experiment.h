@@ -131,7 +131,7 @@ class Experiment {
 
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] net::Network& network() { return *network_; }
-  // The transport the paper hosts run over — benches read its coalescer
+  // The transport every host runs over — benches read its coalescer
   // stats to report datagram amortization when batching is on.
   [[nodiscard]] transport::SimTransport& transport() { return *transport_; }
   // The Byzantine decorator, when a schedule was given (else nullptr).
@@ -180,9 +180,10 @@ class Experiment {
   // registrations never dangle while snapshots are possible.
   util::MetricsRegistry registry_;
   std::unique_ptr<net::Network> network_;
-  // Paper hosts run over the Transport seam (SimTransport is a pure
-  // forwarding adapter, so the wiring change is digest-invisible);
-  // declared before the hosts so it outlives them.
+  // Every host, of every protocol kind, attaches here (or through the
+  // Byzantine decorator over it). Coalescing is on only for the paper
+  // protocol with Config::batch_flush_delay > 0. Declared before the
+  // hosts so it outlives them.
   std::unique_ptr<transport::SimTransport> transport_;
   // Byzantine decorator over transport_ (ScenarioOptions::byzantine);
   // declared after the transport it wraps and before the hosts that

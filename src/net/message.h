@@ -135,9 +135,9 @@ class NetObserverFanout final : public NetObserver {
   std::vector<NetObserver*> observers_;
 };
 
-// The sending interface a protocol host holds. Production hosts get the
-// Network-backed implementation; protocol unit tests plug in a scripted
-// fake (tests/support/fake_network.h).
+// The sending interface a protocol host holds, handed out by
+// transport::Transport::attach (SimTransport, UdpTransport, or the scripted
+// fake in tests/support/fake_network.h).
 class HostEndpoint {
  public:
   virtual ~HostEndpoint() = default;
@@ -148,7 +148,7 @@ class HostEndpoint {
   // carried on the Delivery for causal tracing; it never affects routing
   // or protocol behavior.
   virtual void send(HostId to, std::any payload, std::size_t bytes,
-                    std::string kind, TraceId trace_id = 0) = 0;
+                    std::string kind, TraceId trace_id) = 0;
 };
 
 }  // namespace rbcast::net

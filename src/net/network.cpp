@@ -8,23 +8,6 @@
 
 namespace rbcast::net {
 
-class Network::Endpoint final : public HostEndpoint {
- public:
-  Endpoint(Network& network, HostId self) : network_(network), self_(self) {}
-
-  [[nodiscard]] HostId self() const override { return self_; }
-
-  void send(HostId to, std::any payload, std::size_t bytes,
-            std::string kind, TraceId trace_id) override {
-    network_.send(self_, to, std::move(payload), bytes, std::move(kind),
-                  trace_id);
-  }
-
- private:
-  Network& network_;
-  HostId self_;
-};
-
 Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
                  NetConfig config, const util::RngFactory& rngs)
     : simulator_(simulator),
@@ -48,14 +31,7 @@ Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
     servers_.emplace_back(s.id, topology, routing_);
   }
   deliver_.resize(topology.host_count());
-  endpoints_.resize(topology.host_count());
-  for (const topo::HostSpec& h : topology.hosts()) {
-    endpoints_[static_cast<std::size_t>(h.id.value)] =
-        std::make_unique<Endpoint>(*this, h.id);
-  }
 }
-
-Network::~Network() = default;
 
 void Network::register_host(HostId host, DeliveryFn deliver) {
   RBCAST_CHECK_ARG(
@@ -63,12 +39,6 @@ void Network::register_host(HostId host, DeliveryFn deliver) {
       "register_host: unknown host");
   RBCAST_CHECK_ARG(deliver != nullptr, "register_host: null delivery fn");
   deliver_[static_cast<std::size_t>(host.value)] = std::move(deliver);
-}
-
-HostEndpoint& Network::endpoint(HostId host) {
-  RBCAST_ASSERT(host.valid() &&
-                static_cast<std::size_t>(host.value) < endpoints_.size());
-  return *endpoints_[static_cast<std::size_t>(host.value)];
 }
 
 LinkState& Network::link_state(LinkId id) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/link.h"
@@ -48,24 +47,23 @@ class Network {
   Network(sim::Simulator& simulator, const topo::Topology& topology,
           NetConfig config, const util::RngFactory& rngs);
 
-  ~Network();  // out of line: Endpoint is an incomplete type here
-
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // --- host side ----------------------------------------------------------
+  //
+  // The raw service under transport::SimTransport, which is how protocol
+  // hosts reach it: SimTransport::attach registers the upcall and hands
+  // the host an endpoint that calls send().
 
-  // Registers the delivery upcall for `host`. Must be called once per host
+  // Registers (or replaces) the delivery upcall for `host`. Must be called
   // before any message addressed to it is sent.
   void register_host(HostId host, DeliveryFn deliver);
 
-  // The sending interface handed to the protocol instance running on
-  // `host`. Valid for the lifetime of the Network.
-  [[nodiscard]] HostEndpoint& endpoint(HostId host);
-
-  // Requests unicast delivery (what endpoint() forwards to).
+  // Requests unicast delivery of `payload` from `from` to `to`;
+  // `trace_id` (0 = untraced) rides on the Delivery.
   void send(HostId from, HostId to, std::any payload, std::size_t bytes,
-            std::string kind, TraceId trace_id = 0);
+            std::string kind, TraceId trace_id);
 
   // --- fault control (used by FaultPlan) -----------------------------------
 
@@ -117,8 +115,6 @@ class Network {
     std::uint32_t next_free{kNoSlot};
   };
 
-  class Endpoint;
-
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
   [[nodiscard]] std::uint32_t acquire_slot();
@@ -153,7 +149,6 @@ class Network {
   Routing routing_;
   std::vector<Server> servers_;
   std::vector<DeliveryFn> deliver_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   util::Rng jitter_rng_;
   std::uint64_t epoch_{0};
   std::vector<InFlight> pool_;

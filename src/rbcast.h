@@ -9,6 +9,7 @@
 //   rbcast::sim     — deterministic discrete-event simulator
 //   rbcast::topo    — network topologies (clusters, paper figures)
 //   rbcast::net     — the nonprogrammable-server network substrate
+//   rbcast::transport — the host wiring seam (SimTransport over net)
 //   rbcast::core    — the paper's protocol + the basic baseline
 //   rbcast::trace   — metrics, convergence probes, trace export/analysis
 //   rbcast::harness — one-call experiment wiring
@@ -53,6 +54,7 @@
 #include "trace/net_tap.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_sink.h"
+#include "transport/sim_transport.h"
 #include "util/ids.h"
 #include "util/logging.h"
 #include "util/rng.h"

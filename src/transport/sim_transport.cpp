@@ -1,47 +1,51 @@
 #include "transport/sim_transport.h"
 
+#include <optional>
 #include <utility>
 
 #include "transport/wire.h"
 
 namespace rbcast::transport {
 
-// Per-host sending side when batching is on: enqueues every frame into a
-// Coalescer whose flush hands the whole batch to the network as one
-// message. The simulator carries payloads in-process, so the flush wraps
-// the queued items in a SimBatch; Delivery::bytes is the exact version-2
-// container size the UDP backend would transmit.
-class SimTransport::BatchingEndpoint final : public net::HostEndpoint {
+// Per-host sending side. With batching off every send goes straight to
+// Network::send. With batching on it enqueues every frame into a Coalescer
+// whose flush hands the whole batch to the network as one message. The
+// simulator carries payloads in-process, so the flush wraps the queued
+// items in a SimBatch; Delivery::bytes is the exact version-2 container
+// size the UDP backend would transmit.
+class SimTransport::Endpoint final : public net::HostEndpoint {
  public:
-  BatchingEndpoint(SimTransport& owner, HostId self)
-      : owner_(owner),
-        self_(self),
-        inner_(owner.network_.endpoint(self)),
-        coalescer_(owner.simulator_, owner.coalesce_,
-                   [this](HostId to, std::vector<Coalescer::Item> items) {
-                     flush(to, std::move(items));
-                   }) {}
+  Endpoint(SimTransport& owner, HostId self)
+      : network_(owner.network_), self_(self) {
+    if (owner.coalesce_.enabled()) {
+      coalescer_.emplace(
+          owner.simulator_, owner.coalesce_,
+          [this](HostId to, std::vector<Coalescer::Item> items) {
+            flush(to, std::move(items));
+          });
+    }
+  }
 
   [[nodiscard]] HostId self() const override { return self_; }
 
   void send(HostId to, std::any payload, std::size_t bytes, std::string kind,
             net::TraceId trace_id) override {
+    if (!coalescer_) {
+      network_.send(self_, to, std::move(payload), bytes, std::move(kind),
+                    trace_id);
+      return;
+    }
     Coalescer::Item item;
     item.payload = std::move(payload);
     item.bytes = bytes;
     item.kind = std::move(kind);
     item.trace_id = trace_id;
-    coalescer_.enqueue(to, std::move(item));
+    coalescer_->enqueue(to, std::move(item));
   }
 
-  void flush_all() { coalescer_.flush_all(); }
-
-  [[nodiscard]] const Coalescer::Stats& stats() const {
-    return coalescer_.stats();
-  }
-
-  [[nodiscard]] std::size_t pending_frames() const {
-    return coalescer_.pending_frames();
+  // Null iff batching is off.
+  [[nodiscard]] Coalescer* coalescer() {
+    return coalescer_ ? &*coalescer_ : nullptr;
   }
 
  private:
@@ -50,22 +54,21 @@ class SimTransport::BatchingEndpoint final : public net::HostEndpoint {
     // datagram: charge it as the bare frame it would be on the UDP wire.
     if (items.size() == 1) {
       Coalescer::Item& only = items.front();
-      inner_.send(to, std::move(only.payload), only.bytes,
-                  std::move(only.kind), only.trace_id);
+      network_.send(self_, to, std::move(only.payload), only.bytes,
+                    std::move(only.kind), only.trace_id);
       return;
     }
     std::size_t bytes = kBatchHeaderBytes;
     for (const Coalescer::Item& item : items) {
       bytes += kBatchPerFrameBytes + item.bytes;
     }
-    inner_.send(to, std::any(SimBatch{std::move(items)}), bytes, "batch",
-                /*trace_id=*/0);
+    network_.send(self_, to, std::any(SimBatch{std::move(items)}), bytes,
+                  "batch", /*trace_id=*/0);
   }
 
-  SimTransport& owner_;
+  net::Network& network_;
   HostId self_;
-  net::HostEndpoint& inner_;
-  Coalescer coalescer_;
+  std::optional<Coalescer> coalescer_;
 };
 
 SimTransport::SimTransport(sim::Simulator& simulator, net::Network& network,
@@ -75,37 +78,33 @@ SimTransport::SimTransport(sim::Simulator& simulator, net::Network& network,
 SimTransport::~SimTransport() = default;
 
 net::HostEndpoint& SimTransport::attach(HostId host, net::DeliveryFn deliver) {
-  if (!coalesce_.enabled()) {
-    network_.register_host(host, std::move(deliver));
-    return network_.endpoint(host);
+  if (coalesce_.enabled()) {
+    // Receive side: unpack batch deliveries into per-frame upcalls sharing
+    // the container's path metadata (cost bit, timing, hop count).
+    deliver = [inner = std::move(deliver)](const net::Delivery& d) {
+      const auto* batch = std::any_cast<SimBatch>(&d.payload);
+      if (batch == nullptr) {
+        inner(d);
+        return;
+      }
+      for (const Coalescer::Item& item : batch->items) {
+        net::Delivery frame;
+        frame.from = d.from;
+        frame.to = d.to;
+        frame.expensive = d.expensive;
+        frame.payload = item.payload;
+        frame.bytes = item.bytes;
+        frame.kind = item.kind;
+        frame.sent_at = d.sent_at;
+        frame.hops = d.hops;
+        frame.trace_id = item.trace_id;
+        inner(frame);
+      }
+    };
   }
-  // Receive side: unpack batch deliveries into per-frame upcalls sharing
-  // the container's path metadata (cost bit, timing, hop count).
-  network_.register_host(
-      host, [inner = std::move(deliver)](const net::Delivery& d) {
-        const auto* batch = std::any_cast<SimBatch>(&d.payload);
-        if (batch == nullptr) {
-          inner(d);
-          return;
-        }
-        for (const Coalescer::Item& item : batch->items) {
-          net::Delivery frame;
-          frame.from = d.from;
-          frame.to = d.to;
-          frame.expensive = d.expensive;
-          frame.payload = item.payload;
-          frame.bytes = item.bytes;
-          frame.kind = item.kind;
-          frame.sent_at = d.sent_at;
-          frame.hops = d.hops;
-          frame.trace_id = item.trace_id;
-          inner(frame);
-        }
-      });
+  network_.register_host(host, std::move(deliver));
   auto& ep = endpoints_[host.value];
-  if (ep == nullptr) {
-    ep = std::make_unique<BatchingEndpoint>(*this, host);
-  }
+  if (ep == nullptr) ep = std::make_unique<Endpoint>(*this, host);
   return *ep;
 }
 
@@ -114,14 +113,17 @@ void SimTransport::detach(HostId host) {
   // arrive after the host died are silently discarded, as the paper's
   // network would discard messages to a crashed host.
   auto it = endpoints_.find(host.value);
-  if (it != endpoints_.end()) it->second->flush_all();
+  if (it != endpoints_.end() && it->second->coalescer() != nullptr) {
+    it->second->coalescer()->flush_all();
+  }
   network_.register_host(host, [](const net::Delivery&) {});
 }
 
 Coalescer::Stats SimTransport::coalescer_stats() const {
   Coalescer::Stats total;
   for (const auto& [host, ep] : endpoints_) {
-    const Coalescer::Stats& s = ep->stats();
+    if (ep->coalescer() == nullptr) continue;
+    const Coalescer::Stats& s = ep->coalescer()->stats();
     total.frames_enqueued += s.frames_enqueued;
     total.batches_flushed += s.batches_flushed;
     total.size_flushes += s.size_flushes;
@@ -132,7 +134,9 @@ Coalescer::Stats SimTransport::coalescer_stats() const {
 
 std::size_t SimTransport::coalescer_pending_frames() const {
   std::size_t n = 0;
-  for (const auto& [host, ep] : endpoints_) n += ep->pending_frames();
+  for (const auto& [host, ep] : endpoints_) {
+    if (ep->coalescer() != nullptr) n += ep->coalescer()->pending_frames();
+  }
   return n;
 }
 

@@ -1,20 +1,19 @@
-// SimTransport — the Transport over the discrete-event simulator.
+// SimTransport — the Transport over the discrete-event simulator, and the
+// only way a protocol host reaches net::Network.
 //
-// With batching off (the default CoalescerConfig) this is a pure
-// forwarding adapter: attach() is exactly the Network::register_host +
-// Network::endpoint pair every composition root used to call by hand, and
-// scheduler() is the simulator itself. No state, no extra events, no RNG
-// draws — a run wired through SimTransport is bit-for-bit identical (same
-// EventLog::digest()) to one wired directly, which is what the
-// determinism gate holds this adapter to.
+// attach() registers the host's upcall with Network::register_host and
+// hands back this transport's endpoint for the host; scheduler() is the
+// simulator itself. With batching off (the default CoalescerConfig) the
+// endpoint calls Network::send directly — no state, no extra events, no
+// RNG draws — so the determinism digests do not see the transport at all.
 //
-// With batching on, each attached host sends through a
-// transport::Coalescer: frames to the same destination ride one network
-// message (kind "batch", charged the version-2 container byte count), and
-// the receive side unpacks the batch into per-frame deliveries before the
-// host sees them. The simulator never serializes payloads, so a SimBatch
-// carries the queued std::any payloads through in-process — the byte
-// accounting matches what UdpTransport would put on a real wire.
+// With batching on, each endpoint sends through a transport::Coalescer:
+// frames to the same destination ride one network message (kind "batch",
+// charged the version-2 container byte count), and the receive side
+// unpacks the batch into per-frame deliveries before the host sees them.
+// The simulator never serializes payloads, so a SimBatch carries the
+// queued std::any payloads through in-process — the byte accounting
+// matches what UdpTransport would put on a real wire.
 #pragma once
 
 #include <map>
@@ -39,7 +38,7 @@ class SimTransport final : public Transport {
   // Both references must outlive this object (and any attached host).
   // `coalesce` defaults to disabled, which keeps the zero-overhead
   // forwarding path.
-  // Out of line: BatchingEndpoint is an incomplete type here.
+  // Out of line: Endpoint is an incomplete type here.
   SimTransport(sim::Simulator& simulator, net::Network& network,
                CoalescerConfig coalesce = {});
   ~SimTransport() override;
@@ -70,14 +69,14 @@ class SimTransport final : public Transport {
   void register_metrics(util::MetricsRegistry& registry);
 
  private:
-  class BatchingEndpoint;
+  class Endpoint;
 
   sim::Simulator& simulator_;
   net::Network& network_;
   CoalescerConfig coalesce_;
-  // Batched endpoints outlive detach(): a host destructor may still hold
-  // the reference while tearing down. Ordered for deterministic teardown.
-  std::map<HostId::value_type, std::unique_ptr<BatchingEndpoint>> endpoints_;
+  // Endpoints outlive detach(): a host destructor may still hold the
+  // reference while tearing down. Ordered for deterministic stats sums.
+  std::map<HostId::value_type, std::unique_ptr<Endpoint>> endpoints_;
 };
 
 }  // namespace rbcast::transport

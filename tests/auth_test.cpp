@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,6 @@
 
 namespace rbcast::core {
 namespace {
-
-using rbcast::testing::FakeHub;
 
 constexpr std::uint64_t kSecret = 0x1234abcd5678ef01ULL;
 
@@ -123,52 +120,12 @@ TEST(AuthWire, WireSizeAccountsForTheTag) {
 // --- BroadcastHost reject path ---------------------------------------------
 
 Config auth_config() {
-  Config c;
-  c.attach_period = sim::milliseconds(100);
-  c.info_period_intra = sim::milliseconds(50);
-  c.info_period_inter = sim::milliseconds(200);
-  c.gapfill_period_neighbor = sim::milliseconds(100);
-  c.gapfill_period_far = sim::milliseconds(300);
-  c.parent_timeout = sim::seconds(1);
-  c.attach_ack_timeout = sim::milliseconds(100);
-  c.child_timeout = sim::seconds(3);
-  c.data_bytes = 16;
+  Config c = rbcast::testing::fast_config();
   c.auth_enabled = true;
   return c;
 }
 
-struct Cluster {
-  sim::Simulator sim;
-  FakeHub hub{sim};
-  std::vector<std::unique_ptr<BroadcastHost>> nodes;
-  std::vector<std::vector<Seq>> delivered;
-
-  explicit Cluster(int n, Config config = auth_config(),
-                   HostId source = HostId{0}) {
-    std::vector<HostId> all;
-    for (int i = 0; i < n; ++i) all.push_back(HostId{i});
-    delivered.resize(static_cast<std::size_t>(n));
-    util::RngFactory rngs(7);
-    for (int i = 0; i < n; ++i) {
-      const HostId id{i};
-      nodes.push_back(std::make_unique<BroadcastHost>(
-          sim, hub.endpoint(id), source, all, config,
-          rngs.stream("jitter", i),
-          [this, i](Seq seq, std::string_view) {
-            delivered[static_cast<std::size_t>(i)].push_back(seq);
-          }));
-      hub.register_host(id, [this, i](const net::Delivery& d) {
-        nodes[static_cast<std::size_t>(i)]->on_delivery(d);
-      });
-    }
-  }
-
-  BroadcastHost& node(int i) { return *nodes[static_cast<std::size_t>(i)]; }
-  void start_all() {
-    for (auto& n : nodes) n->start();
-  }
-  void run_for(sim::Duration d) { sim.run_until(sim.now() + d); }
-};
+using Cluster = rbcast::testing::HostCluster;
 
 net::Delivery data_delivery(HostId from, HostId to, const DataMsg& m) {
   return net::Delivery{.from = from,
@@ -182,7 +139,7 @@ net::Delivery data_delivery(HostId from, HostId to, const DataMsg& m) {
 }
 
 TEST(AuthHost, UntaggedDataRejectedWhenAuthEnabled) {
-  Cluster c(2);
+  Cluster c(2, auth_config());
   DataMsg m;
   m.seq = 1;
   m.body = "naked";
@@ -196,7 +153,7 @@ TEST(AuthHost, UntaggedDataRejectedWhenAuthEnabled) {
 }
 
 TEST(AuthHost, TamperedBodyRejectedValidTagAccepted) {
-  Cluster c(2);
+  Cluster c(2, auth_config());
   // Form the tree first: new-max data is only accepted from the parent.
   c.start_all();
   c.run_for(sim::seconds(2));
@@ -220,7 +177,7 @@ TEST(AuthHost, TamperedBodyRejectedValidTagAccepted) {
 TEST(AuthHost, RelayedFramesKeepTheSourceTag) {
   // End to end with auth on everywhere: the stream converges, every
   // relayed frame still verifies, and nothing is rejected.
-  Cluster c(3);
+  Cluster c(3, auth_config());
   c.start_all();
   for (int k = 1; k <= 4; ++k) {
     c.node(0).broadcast("m" + std::to_string(k));
@@ -257,7 +214,7 @@ TEST(AuthHost, DisabledConfigIgnoresTags) {
 // no delivery, no INFO growth, no cluster change, no liveness credit for
 // the claimed sender.
 TEST(AuthFuzz, MutatedAuthenticatedFramesNeverCrashOrPerturbState) {
-  Cluster c(2);
+  Cluster c(2, auth_config());
   const std::uint64_t secret = auth_config().auth_secret;
   util::Rng rng(20260809);
 

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "support/fake_network.h"
@@ -17,61 +16,8 @@ namespace {
 
 using rbcast::testing::FakeHub;
 
-core::Config fast_config() {
-  Config c;
-  c.attach_period = sim::milliseconds(100);
-  c.info_period_intra = sim::milliseconds(50);
-  c.info_period_inter = sim::milliseconds(200);
-  c.gapfill_period_neighbor = sim::milliseconds(100);
-  c.gapfill_period_far = sim::milliseconds(300);
-  c.parent_timeout = sim::seconds(1);
-  c.attach_ack_timeout = sim::milliseconds(100);
-  c.child_timeout = sim::seconds(3);
-  c.data_bytes = 16;
-  return c;
-}
-
-std::vector<HostId> hosts(int n) {
-  std::vector<HostId> out;
-  for (int i = 0; i < n; ++i) out.push_back(HostId{i});
-  return out;
-}
-
-struct Cluster {
-  sim::Simulator sim;
-  FakeHub hub{sim};
-  std::vector<std::unique_ptr<BroadcastHost>> nodes;
-  std::vector<std::vector<Seq>> delivered;
-
-  explicit Cluster(int n, Config config = fast_config(),
-                   HostId source = HostId{0})
-      : Cluster(hosts(n), config, source) {}
-
-  // node(i) is the host all[i].
-  Cluster(const std::vector<HostId>& all, Config config, HostId source) {
-    const int n = static_cast<int>(all.size());
-    delivered.resize(all.size());
-    util::RngFactory rngs(7);
-    for (int i = 0; i < n; ++i) {
-      const HostId id = all[static_cast<std::size_t>(i)];
-      nodes.push_back(std::make_unique<BroadcastHost>(
-          sim, hub.endpoint(id), source, all, config,
-          rngs.stream("jitter", i),
-          [this, i](Seq seq, std::string_view) {
-            delivered[static_cast<std::size_t>(i)].push_back(seq);
-          }));
-      hub.register_host(id, [this, i](const net::Delivery& d) {
-        nodes[static_cast<std::size_t>(i)]->on_delivery(d);
-      });
-    }
-  }
-
-  BroadcastHost& node(int i) { return *nodes[static_cast<std::size_t>(i)]; }
-  void start_all() {
-    for (auto& n : nodes) n->start();
-  }
-  void run_for(sim::Duration d) { sim.run_until(sim.now() + d); }
-};
+using rbcast::testing::fast_config;
+using Cluster = rbcast::testing::HostCluster;
 
 TEST(BroadcastHost, SourceDeliversLocallyOnBroadcast) {
   Cluster c(2);
@@ -248,10 +194,6 @@ TEST(BroadcastHost, AttachTimeoutMovesToNextCandidate) {
       .kind = "info",
       .sent_at = 0,
       .hops = 1});
-  // Host 0 must answer attach requests: hand-craft its state so it accepts.
-  c.hub.register_host(HostId{0}, [&](const net::Delivery& d) {
-    c.node(0).on_delivery(d);
-  });
 
   c.node(2).run_attachment_now();  // candidate: host 1 (max 5) -> times out
   c.run_for(sim::milliseconds(500));
@@ -685,11 +627,8 @@ TEST(BroadcastHost, DeliveryFromUnknownSenderIsDroppedBeforeBookkeeping) {
   // Non-contiguous ids: 1 lies inside the id range but is not a host, 9
   // lies past it, and kNoHost is no id at all. Every kind of message from
   // them must be counted and dropped without touching any state.
-  sim::Simulator sim;
-  FakeHub hub{sim};
-  const std::vector<HostId> all{HostId{0}, HostId{2}, HostId{5}};
-  BroadcastHost host(sim, hub.endpoint(HostId{2}), HostId{0}, all,
-                     fast_config(), util::Rng(3));
+  Cluster c({HostId{0}, HostId{2}, HostId{5}}, fast_config(), HostId{0});
+  BroadcastHost& host = c.node(1);  // host 2
   host.start();
 
   const std::vector<ProtocolMessage> messages{
@@ -730,7 +669,18 @@ TEST(BroadcastHost, DeliveryFromUnknownSenderIsDroppedBeforeBookkeeping) {
     EXPECT_FALSE(state.in_cluster(from));
   }
   // Nothing was answered either (no accept, no gap fill, no detach).
-  EXPECT_TRUE(hub.log.empty());
+  EXPECT_TRUE(c.hub.log.empty());
+}
+
+TEST(FakeHub, DetachStopsUpcalls) {
+  sim::Simulator sim;
+  FakeHub hub{sim};
+  int calls = 0;
+  hub.attach(HostId{1}, [&](const net::Delivery&) { ++calls; });
+  hub.inject(HostId{0}, HostId{1}, std::any{});  // in flight at detach
+  hub.detach(HostId{1});
+  sim.run_to_completion();
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(BroadcastHost, BroadcastOnNonSourceAborts) {

@@ -90,6 +90,25 @@ TEST(Experiment, BasicProtocolModeWiresBaseline) {
   EXPECT_GE(e.basic_source().counters().first_sends, 2u);
 }
 
+TEST(Experiment, BaselinesNeverBatch) {
+  // Coalescing is paper-only: with batch_flush_delay set, a baseline run
+  // matches the unbatched one counter for counter.
+  for (const ProtocolKind kind : {ProtocolKind::kBasic, ProtocolKind::kGossip}) {
+    auto counters = [kind](sim::Duration flush_delay) {
+      ScenarioOptions options = fast_options();
+      options.protocol_kind = kind;
+      options.protocol.batch_flush_delay = flush_delay;
+      Experiment e(topo::make_single_cluster(4).topology, options);
+      e.start();
+      e.broadcast_stream(10, 0, sim::seconds(1));  // frames to merge
+      e.run_for(sim::seconds(20));
+      EXPECT_TRUE(e.all_delivered());
+      return e.metrics().counters().all();
+    };
+    EXPECT_EQ(counters(sim::milliseconds(5)), counters(0));
+  }
+}
+
 TEST(Experiment, SourceCanBeAnyHost) {
   ScenarioOptions options = fast_options();
   options.source = HostId{2};

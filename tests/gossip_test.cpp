@@ -5,6 +5,7 @@
 
 #include "harness/experiment.h"
 #include "net/fault_plan.h"
+#include "support/fake_network.h"
 #include "topo/generators.h"
 
 namespace rbcast::core {
@@ -28,14 +29,13 @@ TEST(Gossip, MessageSizesAndKinds) {
 
 TEST(Gossip, RejectsZeroFanout) {
   sim::Simulator simulator;
-  util::RngFactory rngs{1};
-  auto wan = topo::make_single_cluster(2);
-  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  testing::FakeHub hub(simulator);
   GossipConfig config;
   config.fanout = 0;
-  EXPECT_THROW(GossipNode(simulator, network.endpoint(HostId{0}), HostId{0},
-                          wan.topology.host_ids(), config, util::Rng(1)),
+  EXPECT_THROW(GossipNode(hub, HostId{0}, HostId{0}, {HostId{0}, HostId{1}},
+                          config, util::Rng(1)),
                std::invalid_argument);
+  EXPECT_FALSE(hub.attached(HostId{0}));  // a rejected node left nothing
 }
 
 TEST(Gossip, EpidemicSpreadsTheWholeStream) {
@@ -86,18 +86,12 @@ TEST(Gossip, PullLegFetchesWhatTheDigestRevealed) {
   // is *ahead* must trigger a reply digest (the pull), and a digest from a
   // peer that is *behind* must trigger pushes.
   sim::Simulator simulator;
-  util::RngFactory rngs{1};
-  auto wan = topo::make_single_cluster(2);
-  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
-
+  testing::FakeHub hub(simulator);
+  const std::vector<HostId> all{HostId{0}, HostId{1}};
   std::vector<std::unique_ptr<GossipNode>> nodes;
-  for (HostId h : wan.topology.host_ids()) {
+  for (HostId h : all) {
     nodes.push_back(std::make_unique<GossipNode>(
-        simulator, network.endpoint(h), HostId{0}, wan.topology.host_ids(),
-        GossipConfig{}, rngs.stream("g", h.value)));
-    network.register_host(h, [&nodes, h](const net::Delivery& d) {
-      nodes[static_cast<std::size_t>(h.value)]->on_delivery(d);
-    });
+        hub, h, HostId{0}, all, GossipConfig{}, util::Rng(1)));
   }
   nodes[0]->broadcast("m1");
   nodes[0]->broadcast("m2");
@@ -122,11 +116,9 @@ TEST(Gossip, PullLegFetchesWhatTheDigestRevealed) {
 
 TEST(Gossip, DuplicatesAreCounted) {
   sim::Simulator simulator;
-  util::RngFactory rngs{1};
-  auto wan = topo::make_single_cluster(2);
-  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
-  GossipNode node(simulator, network.endpoint(HostId{1}), HostId{0},
-                  wan.topology.host_ids(), GossipConfig{}, util::Rng(1));
+  testing::FakeHub hub(simulator);
+  GossipNode node(hub, HostId{1}, HostId{0}, {HostId{0}, HostId{1}},
+                  GossipConfig{}, util::Rng(1));
   for (int copy = 0; copy < 3; ++copy) {
     node.on_delivery(net::Delivery{
         .from = HostId{0},
@@ -140,6 +132,18 @@ TEST(Gossip, DuplicatesAreCounted) {
   }
   EXPECT_EQ(node.counters().deliveries, 1u);
   EXPECT_EQ(node.counters().duplicates, 2u);
+}
+
+TEST(Gossip, DestroyedNodeIsNeverCalledBack) {
+  sim::Simulator simulator;
+  testing::FakeHub hub(simulator);
+  auto node = std::make_unique<GossipNode>(
+      hub, HostId{1}, HostId{0}, std::vector<HostId>{HostId{0}, HostId{1}},
+      GossipConfig{}, util::Rng(1));
+  hub.inject(HostId{0}, HostId{1}, GossipMessage{GossipData{1, "m1"}});
+  node.reset();  // m1 is still in flight
+  EXPECT_FALSE(hub.attached(HostId{1}));
+  simulator.run_to_completion();  // and must land on no one
 }
 
 }  // namespace

@@ -34,7 +34,8 @@ struct Fixture {
 
   void send(HostId from, HostId to, const std::string& kind,
             std::size_t bytes = 100) {
-    network->send(from, to, std::any(std::string("payload")), bytes, kind);
+    network->send(from, to, std::any(std::string("payload")), bytes, kind,
+                  /*trace_id=*/0);
   }
 };
 

@@ -8,7 +8,9 @@
 
 #include "net/fault_plan.h"
 #include "net/network.h"
+#include "support/fake_network.h"
 #include "topo/generators.h"
+#include "transport/sim_transport.h"
 
 namespace rbcast::core {
 namespace {
@@ -30,29 +32,27 @@ struct Fixture {
   sim::Simulator simulator;
   util::RngFactory rngs{17};
   topo::Wan wan;
-  std::unique_ptr<net::Network> network;
+  net::Network network;
+  transport::SimTransport transport;
   std::vector<std::unique_ptr<MultiSourceNode>> nodes;
   // delivered[host][source] -> seqs in arrival order
   std::vector<std::map<HostId, std::vector<Seq>>> delivered;
 
   explicit Fixture(std::vector<HostId> sources,
                    topo::ClusteredWanOptions options = {.clusters = 2,
-                                                        .hosts_per_cluster = 2}) {
-    wan = make_clustered_wan(options);
-    network = std::make_unique<net::Network>(simulator, wan.topology,
-                                             net::NetConfig{}, rngs);
+                                                        .hosts_per_cluster = 2})
+      : wan(make_clustered_wan(options)),
+        network(simulator, wan.topology, net::NetConfig{}, rngs),
+        transport(simulator, network) {
     const auto all = wan.topology.host_ids();
     delivered.resize(all.size());
     for (HostId h : all) {
       const auto idx = static_cast<std::size_t>(h.value);
       nodes.push_back(std::make_unique<MultiSourceNode>(
-          simulator, network->endpoint(h), sources, all, fast_config(), rngs,
+          transport, h, sources, all, fast_config(), rngs,
           [this, idx](HostId source, Seq seq, std::string_view) {
             delivered[idx][source].push_back(seq);
           }));
-      network->register_host(h, [this, idx](const net::Delivery& d) {
-        nodes[idx]->on_delivery(d);
-      });
     }
     for (auto& node : nodes) node->start();
   }
@@ -120,7 +120,7 @@ TEST(MultiSource, SurvivesPartitionMidStream) {
   options.clusters = 2;
   options.hosts_per_cluster = 2;
   Fixture f({HostId{0}, HostId{2}}, options);  // one source per cluster
-  net::FaultPlan faults(f.simulator, *f.network);
+  net::FaultPlan faults(f.simulator, f.network);
   faults.partition_window({f.wan.trunks[0]}, sim::seconds(5),
                           sim::seconds(25));
 
@@ -148,22 +148,16 @@ TEST(MultiSource, NonSourceCannotBroadcast) {
 TEST(MultiSource, RejectsBadConfiguration) {
   sim::Simulator simulator;
   util::RngFactory rngs{1};
-  auto wan = topo::make_single_cluster(2);
-  net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
-  // Unknown source host.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}),
-                               {HostId{9}}, wan.topology.host_ids(),
-                               Config{}, rngs),
-               std::invalid_argument);
-  // Duplicate sources.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}),
-                               {HostId{0}, HostId{0}},
-                               wan.topology.host_ids(), Config{}, rngs),
-               std::invalid_argument);
-  // Empty source list.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}), {},
-                               wan.topology.host_ids(), Config{}, rngs),
-               std::invalid_argument);
+  testing::FakeHub hub(simulator);
+  const std::vector<HostId> all{HostId{0}, HostId{1}};
+  // An unknown source host, duplicate sources, an empty source list.
+  const std::vector<std::vector<HostId>> bad{
+      {HostId{9}}, {HostId{0}, HostId{0}}, {}};
+  for (const auto& sources : bad) {
+    EXPECT_THROW(MultiSourceNode(hub, HostId{0}, sources, all, Config{}, rngs),
+                 std::invalid_argument);
+  }
+  EXPECT_FALSE(hub.attached(HostId{0}));  // a rejected node left nothing
 }
 
 TEST(MultiSource, TotalDeliveriesAggregatesStreams) {
@@ -175,6 +169,20 @@ TEST(MultiSource, TotalDeliveriesAggregatesStreams) {
   for (int h = 0; h < 4; ++h) {
     EXPECT_EQ(f.node(h).total_deliveries(), 2u) << h;
   }
+}
+
+TEST(MultiSource, DestroyedNodeIsNeverCalledBack) {
+  Fixture f({HostId{0}});
+  f.node(0).broadcast("x");
+  f.run_for(sim::seconds(20));
+  ASSERT_EQ(f.delivered[3][HostId{0}], (std::vector<Seq>{1}));
+  // Host 3 dies; its peers keep sending to it (INFO rounds, the next
+  // stream message), and all of that must be discarded, not delivered.
+  f.nodes[3].reset();
+  f.node(0).broadcast("y");
+  f.run_for(sim::seconds(20));
+  EXPECT_EQ(f.delivered[2][HostId{0}], (std::vector<Seq>{1, 2}));
+  EXPECT_EQ(f.delivered[3][HostId{0}], (std::vector<Seq>{1}));
 }
 
 }  // namespace

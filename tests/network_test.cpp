@@ -39,7 +39,7 @@ struct Harness {
 
   void send(HostId from, HostId to, const std::string& body,
             std::size_t bytes = 100) {
-    network->send(from, to, std::any(body), bytes, "data");
+    network->send(from, to, std::any(body), bytes, "data", /*trace_id=*/0);
   }
 };
 

@@ -203,12 +203,16 @@ TEST(PhaseJitter, IdenticalUnderBothSchedulers) {
   EXPECT_EQ(sim_fires[0], expected);
   EXPECT_EQ(sim_fires[1], expected + period);
 
+  // The task ends the run at its second firing; 10 s bounds a broken one.
   RealTimeScheduler rt;
   std::vector<TimePoint> rt_fires;
-  PeriodicTask rt_task(rt, period, [&] { rt_fires.push_back(rt.now()); });
+  PeriodicTask rt_task(rt, period, [&] {
+    rt_fires.push_back(rt.now());
+    if (rt_fires.size() == 2) rt.stop();
+  });
   Rng seed_c(77);
   rt_task.start(phase_jitter(seed_c, period));
-  rt.run_for(period * 3);
+  rt.run_for(seconds(10));
   rt_task.stop();
   ASSERT_GE(rt_fires.size(), 2u);
   // Wall-clock firing: never before the deadline, close after it.

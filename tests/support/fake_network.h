@@ -1,6 +1,6 @@
-// Test double for the network: a hub that connects protocol hosts with
-// scriptable per-pair cost bits, drops and delays — so protocol logic can
-// be exercised without the full net substrate.
+// Test double for the network: a transport::Transport that connects
+// protocol hosts with scriptable per-pair cost bits, drops and delays — so
+// protocol logic can be exercised without the full net substrate.
 #pragma once
 
 #include <functional>
@@ -11,16 +11,39 @@
 #include <utility>
 #include <vector>
 
+#include "core/broadcast_host.h"
 #include "net/message.h"
 #include "sim/simulator.h"
-#include "util/assert.h"
+#include "transport/transport.h"
 #include "util/ids.h"
 
 namespace rbcast::testing {
 
-class FakeHub {
+class FakeHub final : public transport::Transport {
  public:
   explicit FakeHub(sim::Simulator& simulator) : simulator_(simulator) {}
+
+  [[nodiscard]] util::Scheduler& scheduler() override { return simulator_; }
+
+  // (Re)binds `id`'s upcall; the endpoint lives as long as the hub.
+  net::HostEndpoint& attach(HostId id, net::DeliveryFn deliver) override {
+    receivers_[id] = std::move(deliver);
+    auto& ep = endpoints_[id];
+    if (ep == nullptr) ep = std::make_unique<Endpoint>(*this, id);
+    return *ep;
+  }
+
+  // Messages still in flight to `id` are dropped on arrival.
+  void detach(HostId id) override { receivers_.erase(id); }
+
+  [[nodiscard]] bool attached(HostId id) const {
+    return receivers_.contains(id);
+  }
+
+  // Sends as `from`, attached or not (tests inject traffic this way).
+  void inject(HostId from, HostId to, std::any payload) {
+    dispatch(from, to, std::move(payload), 64, "test", 0);
+  }
 
   // Every message sent through any endpoint, in order.
   struct Sent {
@@ -36,18 +59,6 @@ class FakeHub {
 
   // One-way base delay from any host to any other.
   sim::Duration delay{sim::milliseconds(1)};
-
-  [[nodiscard]] net::HostEndpoint& endpoint(HostId id) {
-    auto it = endpoints_.find(id);
-    if (it == endpoints_.end()) {
-      it = endpoints_.emplace(id, std::make_unique<Endpoint>(*this, id)).first;
-    }
-    return *it->second;
-  }
-
-  void register_host(HostId id, net::DeliveryFn deliver) {
-    receivers_[id] = std::move(deliver);
-  }
 
   // Marks the (symmetric) pair as connected only via expensive links:
   // deliveries between them carry cost bit 1.
@@ -131,6 +142,61 @@ class FakeHub {
   std::map<HostId, net::DeliveryFn> receivers_;
   std::set<std::pair<HostId, HostId>> expensive_pairs_;
   std::set<std::pair<HostId, HostId>> dropped_;
+};
+
+// Short protocol periods for clusters over a FakeHub (1 ms hub delay).
+inline core::Config fast_config() {
+  core::Config c;
+  c.attach_period = sim::milliseconds(100);
+  c.info_period_intra = sim::milliseconds(50);
+  c.info_period_inter = sim::milliseconds(200);
+  c.gapfill_period_neighbor = sim::milliseconds(100);
+  c.gapfill_period_far = sim::milliseconds(300);
+  c.parent_timeout = sim::seconds(1);
+  c.attach_ack_timeout = sim::milliseconds(100);
+  c.child_timeout = sim::seconds(3);
+  c.data_bytes = 16;
+  return c;
+}
+
+inline std::vector<HostId> host_ids(int n) {
+  std::vector<HostId> out;
+  for (int i = 0; i < n; ++i) out.push_back(HostId{i});
+  return out;
+}
+
+// BroadcastHosts over one FakeHub, for the ids `all` (or 0..n-1): node(i)
+// is the host all[i], and delivered[i] lists its application deliveries.
+struct HostCluster {
+  sim::Simulator sim;
+  FakeHub hub{sim};
+  std::vector<std::unique_ptr<core::BroadcastHost>> nodes;
+  std::vector<std::vector<util::Seq>> delivered;
+
+  explicit HostCluster(int n, const core::Config& config = fast_config(),
+                       HostId source = HostId{0})
+      : HostCluster(host_ids(n), config, source) {}
+
+  HostCluster(const std::vector<HostId>& all, const core::Config& config,
+              HostId source)
+      : delivered(all.size()) {
+    util::RngFactory rngs(7);
+    for (int i = 0; i < static_cast<int>(all.size()); ++i) {
+      nodes.push_back(std::make_unique<core::BroadcastHost>(
+          hub, all[static_cast<std::size_t>(i)], source, all, config,
+          rngs.stream("jitter", i), [this, i](util::Seq seq, std::string_view) {
+            delivered[static_cast<std::size_t>(i)].push_back(seq);
+          }));
+    }
+  }
+
+  core::BroadcastHost& node(int i) {
+    return *nodes[static_cast<std::size_t>(i)];
+  }
+  void start_all() {
+    for (auto& n : nodes) n->start();
+  }
+  void run_for(sim::Duration d) { sim.run_until(sim.now() + d); }
 };
 
 }  // namespace rbcast::testing

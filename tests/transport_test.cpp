@@ -35,17 +35,20 @@ namespace {
 
 // --- SimTransport -----------------------------------------------------------
 
-TEST(SimTransport, ForwardsSendsAndDeliveriesThroughTheNetwork) {
+// Two hosts in one cluster of the simulated network.
+struct Rig {
   sim::Simulator sim;
-  topo::ClusteredWanOptions opts;
-  opts.clusters = 1;
-  opts.hosts_per_cluster = 2;
-  topo::Wan wan = make_clustered_wan(opts);
-  util::RngFactory rngs(3);
-  net::Network network(sim, wan.topology, net::NetConfig{}, rngs);
-  SimTransport transport(sim, network);
+  topo::Wan wan =
+      topo::make_clustered_wan({.clusters = 1, .hosts_per_cluster = 2});
+  util::RngFactory rngs{3};
+  net::Network network{sim, wan.topology, net::NetConfig{}, rngs};
+};
 
-  EXPECT_EQ(&transport.scheduler(), static_cast<util::Scheduler*>(&sim));
+TEST(SimTransport, ForwardsSendsAndDeliveriesThroughTheNetwork) {
+  Rig r;
+  SimTransport transport(r.sim, r.network);
+
+  EXPECT_EQ(&transport.scheduler(), static_cast<util::Scheduler*>(&r.sim));
 
   std::vector<std::string> got;
   net::HostEndpoint& ep0 =
@@ -58,20 +61,14 @@ TEST(SimTransport, ForwardsSendsAndDeliveriesThroughTheNetwork) {
   EXPECT_EQ(ep0.self(), HostId{0});
 
   ep0.send(HostId{1}, std::any{std::string("ping")}, 16, "data", 0);
-  sim.run_for(sim::seconds(1));
+  r.sim.run_for(sim::seconds(1));
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], "h1<-0");
 }
 
 TEST(SimTransport, DetachSilencesTheUpcallWithoutUnregistering) {
-  sim::Simulator sim;
-  topo::ClusteredWanOptions opts;
-  opts.clusters = 1;
-  opts.hosts_per_cluster = 2;
-  topo::Wan wan = make_clustered_wan(opts);
-  util::RngFactory rngs(3);
-  net::Network network(sim, wan.topology, net::NetConfig{}, rngs);
-  SimTransport transport(sim, network);
+  Rig r;
+  SimTransport transport(r.sim, r.network);
 
   int delivered = 0;
   net::HostEndpoint& ep0 =
@@ -82,7 +79,7 @@ TEST(SimTransport, DetachSilencesTheUpcallWithoutUnregistering) {
   // The network still routes (registration is permanent) but the detached
   // host's callback must never run again.
   ep0.send(HostId{1}, std::any{std::string("late")}, 16, "data", 0);
-  sim.run_for(sim::seconds(1));
+  r.sim.run_for(sim::seconds(1));
   EXPECT_EQ(delivered, 0);
 }
 
@@ -251,17 +248,11 @@ TEST(UdpTransport, RunsTwoBroadcastHostsEndToEnd) {
 // --- SimTransport batching --------------------------------------------------
 
 TEST(SimTransport, BatchingCoalescesSendsAndUnpacksPerFrameDeliveries) {
-  sim::Simulator sim;
-  topo::ClusteredWanOptions opts;
-  opts.clusters = 1;
-  opts.hosts_per_cluster = 2;
-  topo::Wan wan = make_clustered_wan(opts);
-  util::RngFactory rngs(3);
-  net::Network network(sim, wan.topology, net::NetConfig{}, rngs);
+  Rig r;
   CoalescerConfig coalesce;
   coalesce.flush_delay = sim::milliseconds(5);
   coalesce.max_bytes = 1200;
-  SimTransport transport(sim, network, coalesce);
+  SimTransport transport(r.sim, r.network, coalesce);
   ASSERT_TRUE(transport.batching());
 
   std::vector<std::string> got;
@@ -275,7 +266,7 @@ TEST(SimTransport, BatchingCoalescesSendsAndUnpacksPerFrameDeliveries) {
   ep0.send(HostId{1}, std::any{std::string("a")}, 16, "data", 0);
   ep0.send(HostId{1}, std::any{std::string("b")}, 20, "info", 0);
   ep0.send(HostId{1}, std::any{std::string("c")}, 16, "data", 0);
-  sim.run_for(sim::seconds(1));
+  r.sim.run_for(sim::seconds(1));
 
   EXPECT_EQ(got, (std::vector<std::string>{"data/16", "info/20", "data/16"}));
   const Coalescer::Stats stats = transport.coalescer_stats();

@@ -458,11 +458,8 @@ TEST(ProtocolCodec, MalformedPayloadDecodesToEmptyAny) {
 }
 
 TEST(BroadcastHostCounters, MalformedPayloadCountedAndDropped) {
-  sim::Simulator sim;
-  rbcast::testing::FakeHub hub(sim);
-  const std::vector<HostId> all{HostId{0}, HostId{1}};
-  BroadcastHost host(sim, hub.endpoint(HostId{1}), HostId{0}, all, Config{},
-                     util::Rng(1));
+  rbcast::testing::HostCluster c(2, Config{});
+  BroadcastHost& host = c.node(1);
 
   net::Delivery d;
   d.from = HostId{0};
