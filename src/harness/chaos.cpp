@@ -1,9 +1,9 @@
 #include "harness/chaos.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -42,10 +42,11 @@ std::string str_or(const Json& obj, const char* key, std::string fallback) {
 
 // --- JSON writing ----------------------------------------------------------
 
+// The shortest text that reads back as exactly `v`, so
+// parse_chaos_spec(to_json(s)) replays s to the microsecond.
 std::string fmt(double v) {
-  std::ostringstream os;
-  os << std::setprecision(10) << v;
-  return os.str();
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 topo::TrunkShape shape_from_string(const std::string& name) {

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 namespace rbcast::harness {
 namespace {
@@ -55,6 +58,42 @@ TEST(ChaosSpec, JsonRoundTripIsStable) {
   const std::string twice = to_json(parse_chaos_spec(once));
   EXPECT_EQ(once, twice);
   EXPECT_FALSE(spec.events.empty());
+}
+
+// Every double of a spec, in a fixed order; optionals contribute only when
+// set (their presence is compared separately).
+std::vector<double> doubles_of(const ChaosSpec& s) {
+  std::vector<double> out{s.interval_s,     s.first_at_s,
+                          s.fault_end_s,    s.orphan_limit_s,
+                          s.converge_deadline_s, s.horizon_s,
+                          s.flap_mean_up_s, s.flap_mean_down_s,
+                          s.min_window_s,   s.max_window_s};
+  for (const std::optional<double>& v :
+       {s.attach_period_s, s.info_period_inter_s,
+        s.gapfill_period_neighbor_s, s.batch_flush_ms}) {
+    out.push_back(v.has_value() ? 1.0 : 0.0);
+    if (v) out.push_back(*v);
+  }
+  for (const ChaosEvent& e : s.events) {
+    out.push_back(e.from_s);
+    out.push_back(e.to_s);
+  }
+  return out;
+}
+
+// Jittered windows and periods are arbitrary doubles; a repro replays
+// the failing run only if to_json writes each of them exactly.
+TEST(ChaosSpec, RoundTripKeepsEveryDoubleExact) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const ChaosSpec spec = concretize(ChaosSpec{}, seed);
+    const std::vector<double> before = doubles_of(spec);
+    const std::vector<double> after =
+        doubles_of(parse_chaos_spec(to_json(spec)));
+    ASSERT_EQ(before.size(), after.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      ASSERT_EQ(before[i], after[i]) << "seed " << seed << " double " << i;
+    }
+  }
 }
 
 TEST(ChaosSpec, RoundTripPreservesGeneratorFields) {

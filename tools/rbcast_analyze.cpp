@@ -8,16 +8,8 @@
 // to shrink the baseline, and --update-baseline refuses to raise any
 // number, so the baseline can only ever go down.
 //
-// Usage:
-//   rbcast_analyze [repo-root] [options]
-//     --baseline FILE    compare against a committed ratchet (gate mode)
-//     --update-baseline  rewrite --baseline FILE with the (lower) counts
-//     --json FILE        write the full findings report
-//     --dot FILE         write the include graph as Graphviz DOT
-//     --quiet            suppress per-finding output
-//
-// Exit codes: 0 clean (or no regression in gate mode), 1 findings or
-// ratchet regression, 2 usage/IO error.
+// Usage: rbcast_analyze [repo-root] [options]; --help lists the options
+// and the exit codes.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +19,7 @@
 #include <vector>
 
 #include "analyze/analyze_engine.h"
+#include "cli/flags.h"
 
 namespace fs = std::filesystem;
 
@@ -53,43 +46,34 @@ bool write_file(const fs::path& p, const std::string& contents) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fs::path root = fs::current_path();
+  std::vector<std::string> roots;
   std::string baseline_path;
   std::string json_path;
   std::string dot_path;
   bool update_baseline = false;
   bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "rbcast_analyze: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--baseline") {
-      baseline_path = value("--baseline");
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
-    } else if (arg == "--json") {
-      json_path = value("--json");
-    } else if (arg == "--dot") {
-      dot_path = value("--dot");
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "rbcast_analyze: unknown option " << arg << "\n";
-      return 2;
-    } else {
-      root = arg;
-    }
-  }
+  rbcast::cli::Flags flags("rbcast_analyze",
+                           "whole-repo structural analysis with a ratchet");
+  flags.text("usage: rbcast_analyze [REPO] [options]\n\n");
+  flags.positional("REPO", &roots, "repo root (default: current directory)",
+                   1);
+  flags.add("--baseline", "FILE", &baseline_path,
+            "compare against a committed ratchet (gate mode)");
+  flags.add("--update-baseline", &update_baseline,
+            "rewrite --baseline FILE with the (lower) counts");
+  flags.add("--json", "FILE", &json_path, "write the full findings report");
+  flags.add("--dot", "FILE", &dot_path,
+            "write the include graph as Graphviz DOT");
+  flags.add("--quiet", &quiet, "suppress per-finding output");
+  flags.text(
+      "\nexit status: 0 clean (or no regression in gate mode), 1 findings or\n"
+      "ratchet regression, 2 usage/IO error\n");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
   if (update_baseline && baseline_path.empty()) {
-    std::cerr << "rbcast_analyze: --update-baseline needs --baseline FILE\n";
-    return 2;
+    return flags.usage_error("--update-baseline needs --baseline FILE");
   }
+  const fs::path root =
+      roots.empty() ? fs::current_path() : fs::path(roots[0]);
 
   const fs::path src = root / "src";
   if (!fs::is_directory(src)) {

@@ -12,11 +12,11 @@
 //   rbcast_chaos --runs 64 --seed 1
 //   rbcast_chaos --spec my_spec.json --runs 16 --out /tmp/chaos
 //   rbcast_sim --chaos-spec repro.json --chaos-seed 7   # replay
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "cli/flags.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -29,69 +29,9 @@ struct CliOptions {
   std::uint64_t seed = 1;
   std::string out_dir = ".";
   int shrink_attempts = 120;
-  bool shrink = true;
+  bool no_shrink = false;
   bool print_spec = false;
 };
-
-void usage() {
-  std::cout <<
-      "rbcast_chaos — randomized fault-schedule search\n\n"
-      "  --spec F              chaos spec JSON (default: built-in spec)\n"
-      "  --runs N              seeded scenarios to run (default 16)\n"
-      "  --seed N              base seed; run k uses seed N+k (default 1)\n"
-      "  --out DIR             where to write repro.json / repro.jsonl\n"
-      "                        (default .)\n"
-      "  --shrink-attempts N   max re-runs while minimizing (default 120)\n"
-      "  --no-shrink           write the failing spec without minimizing\n"
-      "  --print-spec          print the effective spec and exit\n"
-      "  --help                this text\n\n"
-      "exit status: 0 all runs clean, 1 violation found, 2 usage error\n";
-}
-
-bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--no-shrink") {
-      options.shrink = false;
-    } else if (arg == "--print-spec") {
-      options.print_spec = true;
-    } else if (arg == "--spec") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.spec_path = value;
-    } else if (arg == "--runs") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.runs = std::atoi(value);
-    } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--out") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.out_dir = value;
-    } else if (arg == "--shrink-attempts") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.shrink_attempts = std::atoi(value);
-    } else {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return false;
-    }
-  }
-  if (options.runs < 1 || options.shrink_attempts < 1) {
-    std::cerr << "--runs and --shrink-attempts must be positive\n";
-    return false;
-  }
-  return true;
-}
 
 void print_violations(const std::vector<harness::InvariantViolation>& vs) {
   for (const auto& v : vs) {
@@ -134,7 +74,22 @@ int emit_repro(const harness::ChaosSpec& spec, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  if (!parse(argc, argv, cli)) return 2;
+  cli::Flags flags("rbcast_chaos", "randomized fault-schedule search");
+  flags.add("--spec", "F", &cli.spec_path,
+            "chaos spec JSON (default: built-in spec)");
+  flags.add("--runs", "N", &cli.runs, "seeded scenarios to run", {.min = 1});
+  flags.add("--seed", "N", &cli.seed, "base seed; run k uses seed N+k");
+  flags.add("--out", "DIR", &cli.out_dir,
+            "where to write repro.json / repro.jsonl");
+  flags.add("--shrink-attempts", "N", &cli.shrink_attempts,
+            "max re-runs while minimizing", {.min = 1});
+  flags.add("--no-shrink", &cli.no_shrink,
+            "write the failing spec without minimizing");
+  flags.add("--print-spec", &cli.print_spec,
+            "print the effective spec and exit");
+  flags.text("\nexit status: 0 all runs clean, 1 violation found, 2 usage "
+             "error\n");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
 
   harness::ChaosSpec spec;
   if (!cli.spec_path.empty()) {
@@ -183,7 +138,7 @@ int main(int argc, char** argv) {
     print_violations(result.violations);
 
     harness::ChaosSpec repro = harness::concretize(spec, seed);
-    if (cli.shrink) {
+    if (!cli.no_shrink) {
       std::cout << "  shrinking (max " << cli.shrink_attempts
                 << " attempts)...\n";
       const harness::ShrinkResult shrunk =

@@ -13,13 +13,15 @@
 //   rbcast_check --forge noauth --walks 500    # forged relays break I2
 //   rbcast_check --forge auth --broadcasts 1 --depth 8  # ... unless signed
 //   rbcast_check --determinism-check           # replay gate (see below)
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -92,114 +94,80 @@ int run_determinism_check(std::uint64_t seed, bool batch) {
   return ok ? 0 : 1;
 }
 
-void usage() {
-  std::cout <<
-      "rbcast_check — bounded verification of the broadcast protocol\n\n"
-      "  --hosts N         number of hosts (default 3)\n"
-      "  --clusters LIST   comma-separated cluster index per host\n"
-      "                    (default: every host its own cluster)\n"
-      "  --broadcasts N    messages the source may generate (default 2)\n"
-      "  --inflight N      adversarial network capacity (default 4)\n"
-      "  --depth N         BFS depth bound (default 7)\n"
-      "  --max-states N    BFS state bound (default 2000000)\n"
-      "  --walks N         use random walks instead of BFS\n"
-      "  --liveness N      N fault-free fair walks; report how many reach\n"
-      "                    full dissemination\n"
-      "  --steps N         steps per walk (default 150)\n"
-      "  --seed N          random-walk seed (default 1)\n"
-      "  --forge MODE      forged-DATA adversary: none | noauth | auth\n"
-      "                    (auth: hosts verify source tags; default none)\n"
-      "  --determinism-check  run each built-in topology twice on the same\n"
-      "                    seed and require identical event-log digests\n"
-      "  --batch           with --determinism-check: enable transport\n"
-      "                    coalescing (batch_flush_delay 5ms) in the runs\n"
-      "  --help            this text\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using Forge = model::ModelConfig::Forge;
   model::ModelConfig config;
-  config.hosts = 3;
-  config.cluster_of = {0, 1, 2};
+  std::optional<std::string> clusters;  // comma-separated, one per host
   int depth = 7;
   std::uint64_t max_states = 2'000'000;
   int walks = 0;
   int liveness_walks = 0;
   int steps = 150;
   std::uint64_t seed = 1;
-  bool clusters_given = false;
   bool determinism_check = false;
   bool batch = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 < argc) return argv[++i];
-      std::cerr << arg << " needs a value\n";
-      std::exit(2);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (arg == "--hosts") {
-      config.hosts = std::atoi(value());
-    } else if (arg == "--clusters") {
-      config.cluster_of.clear();
-      std::stringstream ss(value());
-      std::string part;
-      while (std::getline(ss, part, ',')) {
-        config.cluster_of.push_back(std::atoi(part.c_str()));
-      }
-      clusters_given = true;
-    } else if (arg == "--broadcasts") {
-      config.max_broadcasts = std::atoi(value());
-    } else if (arg == "--inflight") {
-      config.max_inflight = static_cast<std::size_t>(std::atoi(value()));
-    } else if (arg == "--depth") {
-      depth = std::atoi(value());
-    } else if (arg == "--max-states") {
-      max_states = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--walks") {
-      walks = std::atoi(value());
-    } else if (arg == "--liveness") {
-      liveness_walks = std::atoi(value());
-    } else if (arg == "--steps") {
-      steps = std::atoi(value());
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--determinism-check") {
-      determinism_check = true;
-    } else if (arg == "--batch") {
-      batch = true;
-    } else if (arg == "--forge") {
-      const std::string mode = value();
-      if (mode == "none") {
-        config.forge = model::ModelConfig::Forge::kNone;
-      } else if (mode == "noauth") {
-        config.forge = model::ModelConfig::Forge::kNoAuth;
-      } else if (mode == "auth") {
-        config.forge = model::ModelConfig::Forge::kAuth;
-      } else {
-        std::cerr << "unknown forge mode: " << mode << "\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return 2;
-    }
-  }
+  cli::Flags flags("rbcast_check",
+                   "bounded verification of the broadcast protocol");
+  flags.add("--hosts", "N", &config.hosts, "number of hosts", {.min = 1});
+  flags.add("--clusters", "LIST", &clusters,
+            "comma-separated cluster index per host (default: every host "
+            "its own cluster)");
+  flags.add("--broadcasts", "N", &config.max_broadcasts,
+            "messages the source may generate", {.min = 0});
+  flags.add("--inflight", "N", &config.max_inflight,
+            "adversarial network capacity");
+  flags.add("--depth", "N", &depth, "BFS depth bound", {.min = 0});
+  flags.add("--max-states", "N", &max_states, "BFS state bound");
+  flags.add("--walks", "N", &walks,
+            "random walks to run instead of BFS; 0 runs BFS", {.min = 0});
+  flags.add("--liveness", "N", &liveness_walks,
+            "N fault-free fair walks; report how many reach full "
+            "dissemination",
+            {.min = 0});
+  flags.add("--steps", "N", &steps, "steps per walk", {.min = 1});
+  flags.add("--seed", "N", &seed,
+            "random-walk seed, also the --determinism-check seed");
+  flags.choice("--forge", "MODE", &config.forge,
+               {{"none", Forge::kNone},
+                {"noauth", Forge::kNoAuth},
+                {"auth", Forge::kAuth}},
+               "forged-DATA adversary; with auth, hosts verify source tags");
+  flags.add("--determinism-check", &determinism_check,
+            "run each built-in topology twice on the same seed and require "
+            "identical event-log digests");
+  flags.add("--batch", &batch,
+            "with --determinism-check: enable transport coalescing "
+            "(batch_flush_delay 5ms) in the runs");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
   if (determinism_check) return run_determinism_check(seed, batch);
-  if (!clusters_given) {
-    config.cluster_of.clear();
+  config.cluster_of.clear();
+  if (clusters) {
+    std::stringstream ss(*clusters);
+    std::string part;
+    while (std::getline(ss, part, ',')) {
+      const std::optional<int> c = cli::parse_number<int>(part);
+      if (!c) {
+        return flags.usage_error("--clusters: '" + part +
+                                 "' is not a valid integer");
+      }
+      config.cluster_of.push_back(*c);
+    }
+  } else {
     for (int i = 0; i < config.hosts; ++i) config.cluster_of.push_back(i);
   }
   if (config.cluster_of.size() != static_cast<std::size_t>(config.hosts)) {
-    std::cerr << "--clusters must list exactly --hosts entries\n";
-    return 2;
+    return flags.usage_error("--clusters must list exactly --hosts entries");
   }
 
-  model::Checker checker(config);
+  std::optional<model::Checker> checker;
+  try {
+    checker.emplace(config);
+  } catch (const std::invalid_argument& e) {
+    return flags.usage_error(e.what());
+  }
   std::cout << "configuration: " << config.hosts << " hosts, source h0, "
             << config.max_broadcasts << " broadcasts, inflight cap "
             << config.max_inflight << "\n";
@@ -208,7 +176,7 @@ int main(int argc, char** argv) {
     const int live_steps = steps > 150 ? steps : 400;
     std::cout << "mode: " << liveness_walks << " fair (fault-free) walks x "
               << live_steps << " steps (seed " << seed << ")\n";
-    const auto live = checker.explore_liveness(liveness_walks, live_steps,
+    const auto live = checker->explore_liveness(liveness_walks, live_steps,
                                                seed);
     std::cout << "full dissemination reached: " << live.completed << "/"
               << live.walks << " walks";
@@ -225,11 +193,11 @@ int main(int argc, char** argv) {
   if (walks > 0) {
     std::cout << "mode: " << walks << " random walks x " << steps
               << " steps (seed " << seed << ")\n";
-    report = checker.explore_random(walks, steps, seed);
+    report = checker->explore_random(walks, steps, seed);
   } else {
     std::cout << "mode: exhaustive BFS, depth " << depth << ", state bound "
               << max_states << "\n";
-    report = checker.explore_bfs(depth, max_states);
+    report = checker->explore_bfs(depth, max_states);
   }
 
   std::cout << "states explored:   " << report.states_explored << "\n"

@@ -5,9 +5,6 @@
 // iteration in protocol layers, no direct output, RBCAST_ASSERT only,
 // #pragma once in every header). Runs as a ctest; exits nonzero on any
 // finding so the gate fails closed.
-//
-// Usage:
-//   rbcast_lint [repo-root]      # default: current directory
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "lint/lint_engine.h"
 
 namespace fs = std::filesystem;
@@ -38,7 +36,15 @@ std::string read_file(const fs::path& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const fs::path root = argc > 1 ? fs::path(argv[1]) : fs::current_path();
+  std::vector<std::string> roots;
+  rbcast::cli::Flags flags("rbcast_lint", "repo-specific determinism lint");
+  flags.text("usage: rbcast_lint [REPO]\n\n");
+  flags.positional("REPO", &roots, "repo root (default: current directory)",
+                   1);
+  flags.text("\nexit status: 0 clean, 1 findings, 2 no src/ under REPO\n");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  const fs::path root =
+      roots.empty() ? fs::current_path() : fs::path(roots[0]);
   const fs::path src = root / "src";
   if (!fs::is_directory(src)) {
     std::cerr << "rbcast_lint: no src/ under " << root << "\n";

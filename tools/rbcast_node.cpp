@@ -25,16 +25,17 @@
 //     "protocol": {"attach_period_ms": 200, "info_intra_ms": 100,
 //                  "batch_flush_ms": 2, "batch_max_bytes": 1200, ...}
 //   }
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "core/broadcast_host.h"
 #include "core/config.h"
 #include "core/wire_codec.h"
@@ -68,14 +69,15 @@ struct NodeConfig {
   core::Config protocol;
 };
 
+// An unset optional keeps the config's value.
 struct CliOptions {
   std::string config_path;
-  std::int32_t host = -1;  // --host N; -1 = --all-hosts
+  std::optional<int> host;
   bool all_hosts = false;
   std::string trace_out;
-  double run_s = -1;            // <0: take the config's value
-  std::uint64_t seed = 0;       // 0: take the config's value
-  int admin_port = -2;          // -2: take the config's value
+  std::optional<double> run_s;
+  std::optional<std::uint64_t> seed;
+  std::optional<int> admin_port;
   std::string admin_port_file;  // write the bound port here (scripts)
   double linger_s = 0;          // keep serving admin after the run ends
 };
@@ -128,7 +130,7 @@ NodeConfig load_config(const std::string& path) {
   cfg.run_for = util::from_seconds(
       util::json_num_or(root, "run_s", 30, kContext));
   cfg.admin_port = util::json_int_or(root, "admin_port", -1, kContext);
-  if (cfg.admin_port > 65535) {
+  if (cfg.admin_port < -1 || cfg.admin_port > 65535) {
     throw std::invalid_argument(std::string(kContext) +
                                 ": 'admin_port' out of range");
   }
@@ -187,97 +189,48 @@ NodeConfig load_config(const std::string& path) {
   return cfg;
 }
 
-void usage() {
-  std::cout <<
-      "rbcast_node — reliable broadcast over real UDP sockets\n\n"
-      "usage: rbcast_node --config CONFIG.json (--host N | --all-hosts)\n"
-      "                   [--trace-out F] [--run-s T] [--seed N]\n"
-      "                   [--admin-port P] [--admin-port-file F]\n"
-      "                   [--linger-s T]\n\n"
-      "  --config F      JSON topology + workload (see tools/rbcast_node.cpp\n"
-      "                  header for the schema)\n"
-      "  --host N        run only host N in this process (one process per\n"
-      "                  machine; every peer needs a fixed port)\n"
-      "  --all-hosts     run the whole topology in this process (integration\n"
-      "                  tests; port 0 entries bind ephemeral ports)\n"
-      "  --trace-out F   stream a JSONL trace (same schema as rbcast_sim;\n"
-      "                  diff the two with rbcast_trace --compare)\n"
-      "  --run-s T       override the config's wall-clock deadline\n"
-      "  --seed N        override the config's seed\n"
-      "  --admin-port P  serve /metrics, /status and /healthz on\n"
-      "                  127.0.0.1:P (0 = ephemeral; also the 'admin_port'\n"
-      "                  config key). Observation-only, out of band.\n"
-      "  --admin-port-file F\n"
-      "                  write the bound admin port to F (scripts resolving\n"
-      "                  an ephemeral port)\n"
-      "  --linger-s T    keep serving the admin endpoint T seconds after\n"
-      "                  the run ends (GET /quit ends the linger early)\n"
-      "  --help          this text\n\n"
-      "Exits 0 when every host in this process delivered the whole stream\n"
-      "before the deadline, 1 otherwise.\n";
-}
-
-bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--all-hosts") {
-      options.all_hosts = true;
-    } else if (arg == "--config") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.config_path = value;
-    } else if (arg == "--host") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.host = std::atoi(value);
-    } else if (arg == "--trace-out") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.trace_out = value;
-    } else if (arg == "--run-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.run_s = std::atof(value);
-    } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--admin-port") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.admin_port = std::atoi(value);
-    } else if (arg == "--admin-port-file") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.admin_port_file = value;
-    } else if (arg == "--linger-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.linger_s = std::atof(value);
-    } else {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return false;
-    }
-  }
-  if (options.config_path.empty()) {
-    std::cerr << "--config is required (try --help)\n";
-    return false;
-  }
-  if (options.all_hosts == (options.host >= 0)) {
-    std::cerr << "exactly one of --host N / --all-hosts is required\n";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  if (!parse(argc, argv, cli)) return 2;
+  cli::Flags flags("rbcast_node", "reliable broadcast over real UDP sockets");
+  flags.text("usage: rbcast_node --config CONFIG.json (--host N | --all-hosts) "
+             "[options]\n\n");
+  flags.add("--config", "F", &cli.config_path,
+            "JSON topology + workload (schema: tools/rbcast_node.cpp header)");
+  flags.add("--host", "N", &cli.host,
+            "run only host N in this process, one process per machine; "
+            "every peer needs a fixed port",
+            {.min = 0});
+  flags.add("--all-hosts", &cli.all_hosts,
+            "run the whole topology in this process, for integration tests; "
+            "port 0 entries bind ephemeral ports");
+  flags.add("--trace-out", "F", &cli.trace_out,
+            "stream a JSONL trace (same schema as rbcast_sim; diff the two "
+            "with rbcast_trace --compare)");
+  flags.add("--run-s", "T", &cli.run_s,
+            "override the config's wall-clock deadline", {.min = 0});
+  flags.add("--seed", "N", &cli.seed, "override the config's seed");
+  flags.add("--admin-port", "P", &cli.admin_port,
+            "serve /metrics, /status and /healthz on 127.0.0.1:P, "
+            "observation-only and out of band; 0 = ephemeral, -1 = off. "
+            "Overrides the 'admin_port' config key",
+            {.min = -1, .max = 65535});
+  flags.add("--admin-port-file", "F", &cli.admin_port_file,
+            "write the bound admin port to F (scripts resolving an "
+            "ephemeral port)");
+  flags.add("--linger-s", "T", &cli.linger_s,
+            "keep serving the admin endpoint T seconds after the run ends; "
+            "GET /quit ends the linger early",
+            {.min = 0});
+  flags.text(
+      "\nExits 0 when every host in this process delivered the whole stream\n"
+      "before the deadline, 1 otherwise; 2 on a usage or config error.\n");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (cli.config_path.empty()) return flags.usage_error("--config is required");
+  if (cli.all_hosts == cli.host.has_value()) {
+    return flags.usage_error("give exactly one of --host N / --all-hosts");
+  }
 
   NodeConfig cfg;
   try {
@@ -286,9 +239,9 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  if (cli.run_s >= 0) cfg.run_for = util::from_seconds(cli.run_s);
-  if (cli.seed != 0) cfg.seed = cli.seed;
-  if (cli.admin_port != -2) cfg.admin_port = cli.admin_port;
+  if (cli.run_s) cfg.run_for = util::from_seconds(*cli.run_s);
+  cfg.seed = cli.seed.value_or(cfg.seed);
+  cfg.admin_port = cli.admin_port.value_or(cfg.admin_port);
 
   std::vector<HostId> all_hosts;
   all_hosts.reserve(cfg.peers.size());
@@ -298,12 +251,12 @@ int main(int argc, char** argv) {
   if (cli.all_hosts) {
     local_hosts = all_hosts;
   } else {
-    const HostId wanted{cli.host};
+    const HostId wanted{*cli.host};
     for (const HostId h : all_hosts) {
       if (h == wanted) local_hosts.push_back(h);
     }
     if (local_hosts.empty()) {
-      std::cerr << "host " << cli.host << " is not in the config's host "
+      std::cerr << "host " << *cli.host << " is not in the config's host "
                 << "table\n";
       return 2;
     }

@@ -11,13 +11,15 @@
 //   rbcast_sim --clusters 3 --shape line --partition-at 10 --csv
 //              --partition-heal 40 --messages 60
 //   rbcast_sim --flap --messages 100 --seed 7 --verbose
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "cli/flags.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -37,8 +39,8 @@ struct CliOptions {
   double loss = 0.0;
   double duplication = 0.0;
   std::uint64_t seed = 1;
-  double partition_at = -1.0;    // seconds; <0 = no partition
-  double partition_heal = -1.0;  // seconds
+  std::optional<double> partition_at;    // seconds
+  std::optional<double> partition_heal;  // seconds
   bool flap = false;
   double deadline_s = 600.0;
   bool csv = false;
@@ -97,211 +99,7 @@ int run_chaos_replay(const CliOptions& cli) {
   return 1;
 }
 
-void usage() {
-  std::cout <<
-      "rbcast_sim — reliable broadcast scenario runner\n\n"
-      "topology:\n"
-      "  --clusters N       number of clusters (default 3)\n"
-      "  --hosts N          hosts per cluster (default 3)\n"
-      "  --shape S          trunk shape: line|ring|star|random (default ring)\n"
-      "  --arpanet          use the stylized c.1980 ARPANET map instead\n"
-      "network faults:\n"
-      "  --loss P           trunk loss probability [0,1) (default 0)\n"
-      "  --dup P            trunk duplication probability (default 0)\n"
-      "  --partition-at T   cut trunk 0 at T seconds\n"
-      "  --partition-heal T repair it at T seconds\n"
-      "  --flap             all trunks flap (up ~10s / down ~5s) while the\n"
-      "                     stream runs\n"
-      "workload:\n"
-      "  --protocol P       paper|basic|gossip (default paper)\n"
-      "  --messages N       stream length (default 30)\n"
-      "  --interval-ms N    spacing between broadcasts (default 500)\n"
-      "  --arrivals A       uniform|poisson|bursty|sustained\n"
-      "                     (default uniform)\n"
-      "  --burst N          messages per burst for bursty (default 5)\n"
-      "run control:\n"
-      "  --dot PREFIX       write PREFIX.topology.dot and\n"
-      "                     PREFIX.parents.dot (Graphviz) at the end\n"
-      "  --metrics-csv P    write P.counters.csv and P.latencies.csv\n"
-      "  --trace-out F      stream a JSONL trace of the run to F\n"
-      "                     (analyze with rbcast_trace)\n"
-      "  --chrome-trace F   also write a Chrome/Perfetto trace_event file\n"
-      "  --batch-flush-ms N coalesce same-destination frames for up to\n"
-      "                     N ms (the batched data plane; default 0 =\n"
-      "                     off). Coalescer counters then appear in the\n"
-      "                     trace's \"registry\" metric records\n"
-      "  --sample-period-ms N\n"
-      "                     metric time-series period when tracing\n"
-      "                     (default 1000; 0 disables sampling)\n"
-      "  --seed N           experiment seed (default 1)\n"
-      "  --deadline T       give up after T virtual seconds (default 600)\n"
-      "  --chaos-spec F     replay a chaos spec/reproducer under the\n"
-      "                     invariant monitor (ignores topology/workload\n"
-      "                     flags; exit 1 if violations reproduce)\n"
-      "  --chaos-seed N     seed for --chaos-spec (default 1)\n"
-      "  --csv              machine-readable output\n"
-      "  --verbose          protocol event log on stderr\n"
-      "  --help             this text\n";
-}
-
-bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--verbose") {
-      options.verbose = true;
-    } else if (arg == "--flap") {
-      options.flap = true;
-    } else if (arg == "--arpanet") {
-      options.arpanet = true;
-    } else if (arg == "--clusters") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.clusters = std::atoi(value);
-    } else if (arg == "--hosts") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.hosts = std::atoi(value);
-    } else if (arg == "--shape") {
-      if ((value = need_value(i)) == nullptr) return false;
-      const std::string s = value;
-      if (s == "line") {
-        options.shape = topo::TrunkShape::kLine;
-      } else if (s == "ring") {
-        options.shape = topo::TrunkShape::kRing;
-      } else if (s == "star") {
-        options.shape = topo::TrunkShape::kStar;
-      } else if (s == "random") {
-        options.shape = topo::TrunkShape::kRandomTree;
-      } else {
-        std::cerr << "unknown shape: " << s << "\n";
-        return false;
-      }
-    } else if (arg == "--protocol") {
-      if ((value = need_value(i)) == nullptr) return false;
-      const std::string p = value;
-      if (p == "paper") {
-        options.kind = harness::ProtocolKind::kPaper;
-      } else if (p == "basic") {
-        options.kind = harness::ProtocolKind::kBasic;
-      } else if (p == "gossip") {
-        options.kind = harness::ProtocolKind::kGossip;
-      } else {
-        std::cerr << "unknown protocol: " << p << "\n";
-        return false;
-      }
-    } else if (arg == "--messages") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.messages = std::atoi(value);
-    } else if (arg == "--interval-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.interval_ms = std::atoi(value);
-    } else if (arg == "--arrivals") {
-      if ((value = need_value(i)) == nullptr) return false;
-      const std::string a = value;
-      if (a == "uniform") {
-        options.arrivals = harness::ArrivalProcess::kUniform;
-      } else if (a == "poisson") {
-        options.arrivals = harness::ArrivalProcess::kPoisson;
-      } else if (a == "bursty") {
-        options.arrivals = harness::ArrivalProcess::kBursty;
-      } else if (a == "sustained") {
-        options.arrivals = harness::ArrivalProcess::kSustained;
-      } else {
-        std::cerr << "unknown arrival process: " << a << "\n";
-        return false;
-      }
-    } else if (arg == "--burst") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.burst_size = std::atoi(value);
-    } else if (arg == "--loss") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.loss = std::atof(value);
-    } else if (arg == "--dup") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.duplication = std::atof(value);
-    } else if (arg == "--dot") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.dot_prefix = value;
-    } else if (arg == "--metrics-csv") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.csv_prefix = value;
-    } else if (arg == "--trace-out") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.trace_out = value;
-    } else if (arg == "--chrome-trace") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.chrome_trace = value;
-    } else if (arg == "--batch-flush-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.batch_flush_ms = std::atoi(value);
-    } else if (arg == "--sample-period-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.sample_period_ms = std::atoi(value);
-    } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--chaos-spec") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.chaos_spec = value;
-    } else if (arg == "--chaos-seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.chaos_seed = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--partition-at") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.partition_at = std::atof(value);
-    } else if (arg == "--partition-heal") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.partition_heal = std::atof(value);
-    } else if (arg == "--deadline") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.deadline_s = std::atof(value);
-    } else {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return false;
-    }
-  }
-  if (options.clusters < 1 || options.hosts < 1 || options.messages < 0) {
-    std::cerr << "invalid topology/workload parameters\n";
-    return false;
-  }
-  if ((options.partition_at >= 0) != (options.partition_heal >= 0)) {
-    std::cerr << "--partition-at and --partition-heal go together\n";
-    return false;
-  }
-  if (options.sample_period_ms < 0) {
-    std::cerr << "--sample-period-ms must be >= 0\n";
-    return false;
-  }
-  if (options.batch_flush_ms < 0) {
-    std::cerr << "--batch-flush-ms must be >= 0\n";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions cli;
-  if (!parse(argc, argv, cli)) return 2;
-
-  if (cli.verbose) {
-    util::Logger::instance().set_level(util::LogLevel::kInfo);
-  }
-
-  if (!cli.chaos_spec.empty()) return run_chaos_replay(cli);
-
+int run(const CliOptions& cli) {
   topo::Topology topology;
   std::vector<LinkId> trunks;
   if (cli.arpanet) {
@@ -371,10 +169,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.partition_at >= 0 && !trunks.empty()) {
+  if (cli.partition_at && !trunks.empty()) {
     e.faults().partition_window({trunks[0]},
-                                sim::from_seconds(cli.partition_at),
-                                sim::from_seconds(cli.partition_heal));
+                                sim::from_seconds(*cli.partition_at),
+                                sim::from_seconds(*cli.partition_heal));
   }
   if (cli.flap && !trunks.empty()) {
     e.faults().flapping(trunks, sim::seconds(10), sim::seconds(5),
@@ -476,4 +274,88 @@ int main(int argc, char** argv) {
     }
   }
   return complete ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using topo::TrunkShape;
+  using harness::ArrivalProcess;
+  using harness::ProtocolKind;
+  CliOptions o;
+  cli::Flags flags("rbcast_sim", "reliable broadcast scenario runner");
+  flags.text("topology:");
+  flags.add("--clusters", "N", &o.clusters, "number of clusters", {.min = 1});
+  flags.add("--hosts", "N", &o.hosts, "hosts per cluster", {.min = 1});
+  flags.choice("--shape", "S", &o.shape,
+               {{"line", TrunkShape::kLine}, {"ring", TrunkShape::kRing},
+                {"star", TrunkShape::kStar},
+                {"random", TrunkShape::kRandomTree}},
+               "trunk shape");
+  flags.add("--arpanet", &o.arpanet,
+            "use the stylized c.1980 ARPANET map instead");
+  flags.text("network faults:");
+  flags.add("--loss", "P", &o.loss, "trunk loss probability",
+            {.min = 0, .below = 1});
+  flags.add("--dup", "P", &o.duplication, "trunk duplication probability",
+            {.min = 0, .max = 1});
+  flags.add("--partition-at", "T", &o.partition_at, "cut trunk 0 at T seconds",
+            {.min = 0});
+  flags.add("--partition-heal", "T", &o.partition_heal,
+            "repair it at T seconds", {.min = 0});
+  flags.add("--flap", &o.flap,
+            "all trunks flap (up ~10s / down ~5s) while the stream runs");
+  flags.text("workload:");
+  flags.choice("--protocol", "P", &o.kind,
+               {{"paper", ProtocolKind::kPaper},
+                {"basic", ProtocolKind::kBasic},
+                {"gossip", ProtocolKind::kGossip}},
+               "protocol");
+  flags.add("--messages", "N", &o.messages, "stream length", {.min = 0});
+  flags.add("--interval-ms", "N", &o.interval_ms,
+            "spacing between broadcasts", {.min = 1});
+  flags.choice("--arrivals", "A", &o.arrivals,
+               {{"uniform", ArrivalProcess::kUniform},
+                {"poisson", ArrivalProcess::kPoisson},
+                {"bursty", ArrivalProcess::kBursty},
+                {"sustained", ArrivalProcess::kSustained}},
+               "arrival process");
+  flags.add("--burst", "N", &o.burst_size, "messages per burst for bursty",
+            {.min = 1});
+  flags.text("run control:");
+  flags.add("--dot", "PREFIX", &o.dot_prefix,
+            "write PREFIX.topology.dot and PREFIX.parents.dot (Graphviz)");
+  flags.add("--metrics-csv", "P", &o.csv_prefix,
+            "write P.counters.csv and P.latencies.csv");
+  flags.add("--trace-out", "F", &o.trace_out,
+            "stream a JSONL trace of the run to F (analyze with rbcast_trace)");
+  flags.add("--chrome-trace", "F", &o.chrome_trace,
+            "also write a Chrome/Perfetto trace_event file");
+  flags.add("--batch-flush-ms", "N", &o.batch_flush_ms,
+            "coalesce same-destination frames for up to N ms, the batched "
+            "data plane (0 = off); its counters join the trace's \"registry\" "
+            "metric records",
+            {.min = 0});
+  flags.add("--sample-period-ms", "N", &o.sample_period_ms,
+            "metric time-series period when tracing; 0 disables sampling",
+            {.min = 0});
+  flags.add("--seed", "N", &o.seed, "experiment seed");
+  flags.add("--deadline", "T", &o.deadline_s, "give up after T virtual seconds",
+            {.min = 0});
+  flags.add("--chaos-spec", "F", &o.chaos_spec,
+            "replay a chaos spec/reproducer under the invariant monitor, "
+            "ignoring topology/workload flags; exit 1 if violations reproduce");
+  flags.add("--chaos-seed", "N", &o.chaos_seed, "seed for --chaos-spec");
+  flags.add("--csv", &o.csv, "machine-readable output");
+  flags.add("--verbose", &o.verbose, "protocol event log on stderr");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (o.partition_at.has_value() != o.partition_heal.has_value()) {
+    return flags.usage_error("--partition-at and --partition-heal go together");
+  }
+  if (o.verbose) util::Logger::instance().set_level(util::LogLevel::kInfo);
+  try {
+    return o.chaos_spec.empty() ? run(o) : run_chaos_replay(o);
+  } catch (const std::invalid_argument& e) {
+    return flags.usage_error(e.what());
+  }
 }

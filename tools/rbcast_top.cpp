@@ -22,7 +22,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
@@ -35,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "trace/exposition.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -51,76 +51,6 @@ struct Options {
   bool once = false;
   bool json = false;
 };
-
-void usage() {
-  std::cout <<
-      "rbcast_top — live fleet view over rbcast_node admin endpoints\n\n"
-      "usage: rbcast_top [options] ENDPOINT...\n"
-      "  ENDPOINT              host:port, or a bare port (127.0.0.1)\n"
-      "  --endpoints-file F    read endpoints (one per line, # comments)\n"
-      "  --interval-s T        refresh period (default 2)\n"
-      "  --timeout-ms N        per-request timeout (default 2000)\n"
-      "  --once                poll once, print, exit (0 iff all answered)\n"
-      "  --json                machine-readable aggregate instead of the\n"
-      "                        table (--once --json is the CI shape)\n"
-      "  --help                this text\n";
-}
-
-bool parse(int argc, char** argv, Options& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--once") {
-      options.once = true;
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--endpoints-file") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.endpoints_file = value;
-    } else if (arg == "--interval-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.interval_s = std::atof(value);
-    } else if (arg == "--timeout-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.timeout_ms = std::atoi(value);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return false;
-    } else {
-      options.endpoints.push_back(arg);
-    }
-  }
-  if (!options.endpoints_file.empty()) {
-    std::ifstream in(options.endpoints_file);
-    if (!in) {
-      std::cerr << "cannot open " << options.endpoints_file << "\n";
-      return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      std::istringstream trim(line);
-      std::string token;
-      if (trim >> token) options.endpoints.push_back(token);
-    }
-  }
-  if (options.endpoints.empty()) {
-    std::cerr << "no endpoints given (try --help)\n";
-    return false;
-  }
-  return true;
-}
 
 // "host:port" / bare "port" -> (host, port-string).
 std::pair<std::string, std::string> split_endpoint(const std::string& ep) {
@@ -512,7 +442,40 @@ void render_json(const Options& options, const std::vector<Sample>& current,
 
 int main(int argc, char** argv) {
   Options options;
-  if (!parse(argc, argv, options)) return 2;
+  cli::Flags flags("rbcast_top",
+                   "live fleet view over rbcast_node admin endpoints");
+  flags.text("usage: rbcast_top [options] ENDPOINT...\n\n");
+  flags.positional("ENDPOINT", &options.endpoints,
+                   "host:port, or a bare port (127.0.0.1)");
+  flags.add("--endpoints-file", "F", &options.endpoints_file,
+            "read endpoints (one per line, # comments)");
+  // At most a day, so the millisecond sleep below fits an int.
+  flags.add("--interval-s", "T", &options.interval_s, "refresh period",
+            {.min = 0, .max = 86400});
+  flags.add("--timeout-ms", "N", &options.timeout_ms, "per-request timeout",
+            {.min = 1});
+  flags.add("--once", &options.once,
+            "poll once, print, exit (0 iff all answered)");
+  flags.add("--json", &options.json,
+            "machine-readable aggregate instead of the table (--once --json "
+            "is the CI shape)");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  if (!options.endpoints_file.empty()) {
+    std::ifstream in(options.endpoints_file);
+    if (!in) {
+      std::cerr << "cannot open " << options.endpoints_file << "\n";
+      return 2;
+    }
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::size_t hash = line.find('#');
+      if (hash != std::string::npos) line.resize(hash);
+      std::istringstream trim(line);
+      std::string token;
+      if (trim >> token) options.endpoints.push_back(token);
+    }
+  }
+  if (options.endpoints.empty()) return flags.usage_error("no endpoints given");
 
   std::vector<Sample> previous;
   double prev_at_ms = 0;

@@ -17,101 +17,26 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "trace/trace_reader.h"
 
 using namespace rbcast;
 
 namespace {
 
-enum class Mode { kSummary, kTimeline, kLineage, kConvergence, kCompare };
-
+// One mode per run; --summary when none is given.
 struct CliOptions {
-  Mode mode = Mode::kSummary;
-  std::int32_t host = -1;     // --timeline
-  std::uint64_t seq = 0;      // --lineage
-  std::string trace_path;
-  std::string compare_path;   // second trace, --compare only
+  bool summary = false;
+  std::optional<std::int32_t> timeline;  // host
+  std::optional<std::uint64_t> lineage;  // broadcast seq
+  bool convergence = false;
+  bool compare = false;
+  std::vector<std::string> paths;
 };
-
-void usage() {
-  std::cout <<
-      "rbcast_trace — analyze a JSONL run trace\n\n"
-      "usage: rbcast_trace [mode] TRACE.jsonl\n"
-      "       rbcast_trace --compare LEFT.jsonl RIGHT.jsonl\n\n"
-      "modes (default --summary):\n"
-      "  --summary          manifest, record counts, deliveries, drops\n"
-      "  --timeline HOST    every record on host HOST's track, in order\n"
-      "  --lineage SEQ      the causal relay + gap-fill path of broadcast\n"
-      "                     message SEQ across the network\n"
-      "  --convergence      attachment / cycle-break timeline and when the\n"
-      "                     tree last changed shape\n"
-      "  --compare          diff two traces of the same workload on per-host\n"
-      "                     delivery sets (sim vs real divergence report);\n"
-      "                     exits 1 when they diverge\n"
-      "  --help             this text\n\n"
-      "Traces come from `rbcast_sim --trace-out F`, `rbcast_node "
-      "--trace-out F`,\nor any trace::JsonlSink.\n";
-}
-
-bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  int paths = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--summary") {
-      options.mode = Mode::kSummary;
-    } else if (arg == "--convergence") {
-      options.mode = Mode::kConvergence;
-    } else if (arg == "--compare") {
-      options.mode = Mode::kCompare;
-    } else if (arg == "--timeline") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.mode = Mode::kTimeline;
-      options.host = std::atoi(value);
-    } else if (arg == "--lineage") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.mode = Mode::kLineage;
-      options.seq = std::strtoull(value, nullptr, 10);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      return false;
-    } else if (paths == 0) {
-      options.trace_path = arg;
-      ++paths;
-    } else if (paths == 1) {
-      options.compare_path = arg;
-      ++paths;
-    } else {
-      std::cerr << "more than two trace files given\n";
-      return false;
-    }
-  }
-  const int want = options.mode == Mode::kCompare ? 2 : 1;
-  if (paths < want) {
-    std::cerr << (want == 2 ? "--compare needs two trace files"
-                            : "no trace file given")
-              << " (try --help)\n";
-    return false;
-  }
-  if (paths > want) {
-    std::cerr << "more than one trace file given\n";
-    return false;
-  }
-  return true;
-}
 
 // Loads one JSONL trace, exiting the process on unreadable/malformed input.
 std::vector<trace::TraceRecord> load_trace(const std::string& path) {
@@ -137,44 +62,65 @@ std::vector<trace::TraceRecord> load_trace(const std::string& path) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  if (!parse(argc, argv, cli)) return 2;
+  cli::Flags flags("rbcast_trace", "analyze a JSONL run trace");
+  flags.text("usage: rbcast_trace [mode] TRACE.jsonl\n"
+             "       rbcast_trace --compare LEFT.jsonl RIGHT.jsonl\n\n");
+  flags.positional("TRACE.jsonl", &cli.paths,
+                   "the trace (two with --compare)", 2);
+  flags.text("modes (default --summary):");
+  flags.add("--summary", &cli.summary,
+            "manifest, record counts, deliveries, drops");
+  flags.add("--timeline", "HOST", &cli.timeline,
+            "every record on host HOST's track, in order", {.min = 0});
+  flags.add("--lineage", "SEQ", &cli.lineage,
+            "the causal relay + gap-fill path of broadcast message SEQ "
+            "across the network");
+  flags.add("--convergence", &cli.convergence,
+            "attachment / cycle-break timeline and when the tree last "
+            "changed shape");
+  flags.add("--compare", &cli.compare,
+            "diff two traces of the same workload on per-host delivery sets "
+            "(sim vs real divergence report); exits 1 when they diverge");
+  flags.text(
+      "\nTraces come from `rbcast_sim --trace-out F`, `rbcast_node "
+      "--trace-out F`,\nor any trace::JsonlSink.\n");
+  if (const auto rc = flags.parse(argc, argv)) return *rc;
+  const int modes = cli.summary + cli.timeline.has_value() +
+                    cli.lineage.has_value() + cli.convergence + cli.compare;
+  if (modes > 1) return flags.usage_error("give at most one mode");
+  if (cli.compare && cli.paths.size() != 2) {
+    return flags.usage_error("--compare needs two trace files");
+  }
+  if (!cli.compare && cli.paths.size() != 1) {
+    return flags.usage_error(cli.paths.empty() ? "no trace file given"
+                                               : "give one trace file");
+  }
 
-  const std::vector<trace::TraceRecord> records = load_trace(cli.trace_path);
-
-  switch (cli.mode) {
-    case Mode::kSummary:
-      trace::print_summary(std::cout, records);
-      break;
-    case Mode::kTimeline: {
-      const auto track = trace::timeline(records, cli.host);
-      if (track.empty()) {
-        std::cerr << "no records for host " << cli.host << "\n";
-        return 1;
-      }
-      for (const auto& r : track) trace::print_record(std::cout, r);
-      break;
+  const std::vector<trace::TraceRecord> records = load_trace(cli.paths[0]);
+  if (cli.timeline) {
+    const auto track = trace::timeline(records, *cli.timeline);
+    if (track.empty()) {
+      std::cerr << "no records for host " << *cli.timeline << "\n";
+      return 1;
     }
-    case Mode::kLineage: {
-      const auto steps = trace::lineage(records, cli.seq);
-      if (steps.empty()) {
-        std::cerr << "no records for seq " << cli.seq
-                  << " (trace ids require the paper or basic protocol)\n";
-        return 1;
-      }
-      trace::print_lineage(std::cout, steps, cli.seq);
-      break;
+    for (const auto& r : track) trace::print_record(std::cout, r);
+  } else if (cli.lineage) {
+    const auto steps = trace::lineage(records, *cli.lineage);
+    if (steps.empty()) {
+      std::cerr << "no records for seq " << *cli.lineage
+                << " (trace ids require the paper or basic protocol)\n";
+      return 1;
     }
-    case Mode::kConvergence:
-      trace::print_convergence(std::cout, records);
-      break;
-    case Mode::kCompare: {
-      const std::vector<trace::TraceRecord> right =
-          load_trace(cli.compare_path);
-      const trace::TraceComparison cmp = trace::compare_traces(records, right);
-      trace::print_comparison(std::cout, cmp, cli.trace_path,
-                              cli.compare_path);
-      return cmp.match ? 0 : 1;
-    }
+    trace::print_lineage(std::cout, steps, *cli.lineage);
+  } else if (cli.convergence) {
+    trace::print_convergence(std::cout, records);
+  } else if (cli.compare) {
+    const std::vector<trace::TraceRecord> right = load_trace(cli.paths[1]);
+    const trace::TraceComparison cmp = trace::compare_traces(records, right);
+    trace::print_comparison(std::cout, cmp, cli.paths[0], cli.paths[1]);
+    return cmp.match ? 0 : 1;
+  } else {
+    trace::print_summary(std::cout, records);
   }
   return 0;
 }
